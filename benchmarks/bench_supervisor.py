@@ -1,10 +1,9 @@
-"""Supervised executor: overhead of supervision on a fault-free run.
+"""Supervised pool runs: overhead of supervision on a fault-free run.
 
-Not a paper figure — this bench guards the ``repro.exec.supervisor``
-failure-domain machinery: the same campaign is run through the plain
-``ProcessPoolExecutor`` path and through the supervised worker pool
-(heartbeats beating, deadlines armed, no faults injected), both at the
-same worker count.  The canonical JSON digests are required to match
+Not a paper figure — this bench guards the supervision machinery of
+``repro.exec.WorkerPool``: the same campaign is run on the pool
+unsupervised and supervised (heartbeats beating, deadlines armed, no
+faults injected), both at the same worker count.  The canonical JSON digests are required to match
 bit-for-bit — supervision must never perturb the physics — and the
 per-pair median overhead is written to ``BENCH_6.json`` at the
 repository root.
@@ -64,7 +63,7 @@ def test_supervision_overhead_and_emit(profiles, tec_problem,
         sample_plain, sample_supervised, repeats=REPEATS)
 
     # Supervision must never perturb the physics: every run, either
-    # executor, produced the same canonical document.
+    # mode, produced the same canonical document.
     assert len(digests["plain"] | digests["supervised"]) == 1
     digest = next(iter(digests["plain"]))
 

@@ -65,10 +65,6 @@ MIN_SOLVE_REDUCTION = 2.0
 #: factor lookups from worker-side caches (machine-independent).
 WARM_POOL_HIT_RATE_MIN = 0.9
 
-#: Threaded back-substitution bar at 2 threads, gated on the
-#: artifact's recorded core count.
-THREAD_SOLVE_MIN_SPEEDUP = 1.7
-
 #: Relative drift beyond this fraction of the baseline value is
 #: reported (ratio metrics only; 50% keeps noise quiet).
 DRIFT_TOLERANCE = 0.5
@@ -193,29 +189,6 @@ def gate_bench5(gate: Gate, doc: dict) -> None:
             bool(doc["constrained_host"]) == (cores < 4),
             f"constrained_host={doc['constrained_host']} matches "
             f"recorded cpu_count={cores}")
-
-    thread = doc.get("thread")
-    if thread is None:
-        gate.skip("BENCH_5 thread arm",
-                  "no thread block (pre-thread-executor artifact)")
-    else:
-        gate.check(
-            "BENCH_5 thread arm recorded",
-            isinstance(_dig(thread, "warm_solve.speedup"),
-                       (int, float)),
-            "thread campaign + warm-solve microbench present "
-            "(digest equality asserted by the bench itself)")
-        solve_speedup = _dig(thread, "warm_solve.speedup")
-        if cores >= 2 and isinstance(solve_speedup, (int, float)):
-            gate.check(
-                "BENCH_5 threaded warm-solve speedup",
-                solve_speedup >= THREAD_SOLVE_MIN_SPEEDUP,
-                f"{solve_speedup:.2f}x >= "
-                f"{THREAD_SOLVE_MIN_SPEEDUP}x at 2 threads "
-                "(GIL-releasing back-substitution must scale)")
-        else:
-            gate.skip("BENCH_5 threaded warm-solve speedup",
-                      f"needs >= 2 cores, artifact ran on {cores}")
 
     warm_pool = doc.get("warm_pool")
     if warm_pool is None:

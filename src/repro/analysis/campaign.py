@@ -419,16 +419,12 @@ def run_campaign(
             its hook methods) fed the benchmark lifecycle — serial,
             pooled, and supervised paths alike — plus live metric
             snapshots on the supervised path.
-        executor: Parallel backend (:data:`repro.exec.EXECUTORS`):
-            ``"process"`` (default) forks worker processes,
-            ``"thread"`` runs units on an in-process thread pool
-            sharing one operator cache (the GIL-releasing SuperLU/BLAS
-            hot path), ``"serial"`` forces the decomposed in-process
-            loop.  None defers to ``REPRO_EXECUTOR``.
+        executor: None or ``"process"``, the only backend; kept so
+            callers that name it explicitly still run.
         pool: A warm :class:`repro.exec.WorkerPool` to run units on
-            instead of a fresh one-shot process pool; worker-side
-            caches stay hot across successive campaigns on the same
-            pool.
+            instead of one opened and closed around the call;
+            worker-side caches stay hot across successive campaigns on
+            the same pool.
     """
     if not tec_problem_template.has_tec:
         raise ConfigurationError(
@@ -436,6 +432,10 @@ def run_campaign(
     if baseline_problem_template.has_tec:
         raise ConfigurationError(
             "baseline_problem_template must not include a TEC array")
+    # Kept only because perfbench/workloads.py passes executor="process".
+    if executor not in (None, "process"):
+        raise ConfigurationError(
+            f"executor must be None or 'process', got {executor!r}")
     if resilient and policy is None:
         policy = ResiliencePolicy(ladder=(method,) + tuple(
             m for m in SOLVER_METHODS if m != method))
@@ -469,8 +469,7 @@ def run_campaign(
             profiles, tec_problem_template, baseline_problem_template,
             method, include_tec_only, isolate_failures, resilient,
             policy, worker_count, supervision, journal_path,
-            resume_from, jac=jac, progress=progress,
-            executor=executor, pool=pool)
+            resume_from, jac=jac, progress=progress, pool=pool)
     make = evaluator_factory or Evaluator
     watch = stopwatch("campaign.wall_seconds")
     if progress is not None:
@@ -523,7 +522,6 @@ def _run_campaign_parallel(
     resume_from: Optional[str] = None,
     jac: str = "analytic",
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
     pool: Optional[object] = None,
 ) -> CampaignResult:
     """The decomposed campaign path: stage- or benchmark-level units.
@@ -564,7 +562,7 @@ def _run_campaign_parallel(
                 workers=workers,
                 supervision=supervision if supervised else None,
                 journal=journal, completed=completed, jac=jac,
-                progress=progress, executor=executor, pool=pool)
+                progress=progress, pool=pool)
             if merge.unhandled:
                 # A non-library exception in a worker is a bug, not a
                 # result; surface every entry instead of a silent hole

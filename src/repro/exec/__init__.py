@@ -1,20 +1,17 @@
-"""Parallel execution engine: scheduled work units over three backends.
+"""Parallel execution engine: scheduled work units on one worker runtime.
 
 Campaigns, chaos campaigns, ``(omega, I_TEC)`` sweeps, heat-map
 batches, and LUT builds are all embarrassingly parallel; this package
 decomposes them into picklable :class:`WorkUnit`\\ s (stage-grained for
-campaigns) and runs them on the backend ``executor`` selects: worker
-processes (one-shot, or a persistent warm :class:`WorkerPool` with
-cache-affinity dispatch), an in-process thread pool for the
-GIL-releasing SuperLU solve path, or the serial shim.  Heavy operator
-and LUT arrays travel once over a shared-memory plane
-(:mod:`repro.exec.shm`) instead of being pickled per worker.  Every
-backend merges deterministically (submission order) — parallel
-campaigns produce bit-identical JSON to serial ones — and per-unit
-telemetry re-parents worker spans under the coordinating trace.
+campaigns) and runs them either serially in-process or on one resident,
+supervised process pool (:class:`WorkerPool`) whose workers keep their
+caches warm across runs.  Every path merges deterministically
+(submission order) — parallel campaigns produce bit-identical JSON to
+serial ones — and per-unit telemetry re-parents worker spans under the
+coordinating trace.
 
-See docs/PARALLELISM.md for executor selection, the worker model, the
-determinism contract, and the cache-locality story.
+See docs/PARALLELISM.md for the worker model, the determinism
+contract, and the cache-locality story.
 """
 
 from .journal import (
@@ -24,51 +21,38 @@ from .journal import (
     read_journal,
     unit_fingerprint,
 )
-from .pool import WorkerPool, WorkerPoolError
+from .pool import (
+    START_METHOD_ENV,
+    QuarantinedUnit,
+    SupervisedOutcome,
+    SupervisionPolicy,
+    WorkerPool,
+    WorkerPoolError,
+)
 from .scheduler import (
     CampaignMerge,
-    EXECUTORS,
-    EXECUTOR_ENV,
-    START_METHOD_ENV,
     WORKERS_ENV,
     chunk_sizes,
     default_chunk,
     evaluate_points,
-    resolve_executor,
     resolve_workers,
     run_campaign_units,
     run_oftec_units,
     run_units,
+    run_units_supervised,
     solve_fields,
     worker_statistics,
 )
-from .shm import (
-    SHM_ENV,
-    SharedArrayRef,
-    live_segment_files,
-    publication,
-    shm_enabled,
-)
-from .supervisor import (
-    QuarantinedUnit,
-    SupervisedOutcome,
-    SupervisionPolicy,
-    run_units_supervised,
-)
 from .units import UNIT_KINDS, UnitResult, WorkUnit, WorkerContext
-from .workers import initialize, run_unit
+from .workers import run_unit
 
 __all__ = [
     "CampaignMerge",
-    "EXECUTORS",
-    "EXECUTOR_ENV",
     "JOURNAL_VERSION",
     "JournalRecovery",
     "JournalWriter",
     "QuarantinedUnit",
-    "SHM_ENV",
     "START_METHOD_ENV",
-    "SharedArrayRef",
     "SupervisedOutcome",
     "SupervisionPolicy",
     "UNIT_KINDS",
@@ -81,18 +65,14 @@ __all__ = [
     "chunk_sizes",
     "default_chunk",
     "evaluate_points",
-    "initialize",
-    "live_segment_files",
-    "publication",
     "read_journal",
-    "resolve_executor",
     "resolve_workers",
     "run_campaign_units",
     "run_oftec_units",
     "run_unit",
     "run_units",
+    "run_units_supervised",
     "solve_fields",
-    "shm_enabled",
     "unit_fingerprint",
     "worker_statistics",
 ]

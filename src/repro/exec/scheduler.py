@@ -3,24 +3,23 @@
 The coordinator's half of the parallel engine.  A job is decomposed
 into :class:`~repro.exec.units.WorkUnit`\\ s, the shared inputs are
 pickled once into a :class:`~repro.exec.units.WorkerContext`, and the
-units run on a ``ProcessPoolExecutor`` whose initializer installs the
-context per worker.  Three properties the rest of the library leans
-on:
+units run either serially in-process or on a
+:class:`~repro.exec.pool.WorkerPool`.  Three properties the rest of the
+library leans on:
 
-* **Deterministic merge.**  Results are collected in submission order
-  (``futures`` are awaited positionally, never as-completed), and every
-  unit is self-contained, so a parallel campaign's merged output is
-  bit-identical to the serial loop's — regardless of worker count,
+* **Deterministic merge.**  Results are slotted by unit index, and
+  every unit is self-contained, so a parallel campaign's merged output
+  is bit-identical to the serial loop's, regardless of worker count,
   scheduling order, or start method.
-* **Serial fallback.**  ``workers <= 1`` (and any pool that fails to
-  start or breaks mid-run) executes the same units in-process through
-  the same worker shim, so the decomposed path never needs a working
-  ``multiprocessing`` to produce results.
+* **Serial fallback.**  ``workers <= 1``, an unpicklable context, and
+  a pool that fails to start or breaks mid-run all finish the units
+  in-process through the same worker shim, so the decomposed path
+  never needs a working ``multiprocessing`` to produce results.
 * **Telemetry adoption.**  When the coordinator's telemetry is
-  enabled, each worker runs its units under worker-side sessions and
-  ships exported spans/metrics home; :func:`run_units` re-parents them
-  under per-unit ``unit`` spans on the live tracer, so
-  ``repro trace summarize`` sees one merged tree.
+  enabled, each unit runs under its own worker-side session and ships
+  its spans/metrics home on its result.  The result the coordinator
+  accepts is adopted once, under a per-unit ``unit`` span on the live
+  tracer, so ``repro trace summarize`` sees one merged tree.
 
 Worker count resolution: an explicit argument wins, then the
 ``REPRO_WORKERS`` environment variable, then 0 (= classic serial path,
@@ -34,16 +33,13 @@ default start method; see docs/PARALLELISM.md for the trade-offs.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -57,45 +53,18 @@ from ..core import CoolingProblem, FailureReport, ResiliencePolicy
 from ..errors import ConfigurationError, SolverError
 from ..faults.plan import FaultPlan
 from ..obs import runtime as _obs
-from . import shm as _shm
 from . import workers as _workers
-from .pool import WorkerPool, WorkerPoolError
+from .journal import JournalWriter
+from .pool import (
+    SupervisedOutcome,
+    SupervisionPolicy,
+    WorkerPool,
+    WorkerPoolError,
+)
 from .units import UnitResult, WorkUnit, WorkerContext
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable overriding the multiprocessing start method.
-START_METHOD_ENV = "REPRO_START_METHOD"
-
-#: Environment variable selecting the executor backend.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Executor backends: ``process`` forks worker processes (the classic
-#: pool), ``thread`` runs units on an in-process ``ThreadPoolExecutor``
-#: sharing one operator cache (the solve hot path — SuperLU
-#: factorization/back-substitution and the BLAS underneath — releases
-#: the GIL, so threads overlap where it matters while paying zero
-#: pickling and zero cold start), ``serial`` forces the decomposed
-#: in-process loop regardless of the worker count.
-EXECUTORS = ("process", "thread", "serial")
-
-
-def resolve_executor(executor: Optional[str] = None) -> str:
-    """Resolve the executor backend: argument, then env, then process.
-
-    ``REPRO_EXECUTOR`` supplies the default; the explicit argument
-    wins.  Unknown names raise :class:`ConfigurationError`.
-    """
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV, "").strip() \
-            or "process"
-    name = str(executor).strip().lower()
-    if name not in EXECUTORS:
-        raise ConfigurationError(
-            f"executor must be one of {EXECUTORS}, got {executor!r} "
-            f"(set via argument or {EXECUTOR_ENV})")
-    return name
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -103,16 +72,16 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
     The returned count selects the execution path: ``0`` keeps the
     classic serial code (no unit decomposition at all), ``1`` runs the
-    decomposed units through the in-process serial executor, ``N > 1``
-    uses a process pool of N workers.
+    decomposed units serially in-process, ``N > 1`` runs them on a
+    pool of N worker processes.
 
-    Inside a worker (pool process or serial executor) the answer is
-    always 0: pool workers inherit ``REPRO_WORKERS`` from the
-    coordinator's environment, and honoring it there would nest
-    process pools (or re-enter the serial executor) every time a unit
-    internally calls a decomposed entry point such as
-    :meth:`~repro.core.Evaluator.evaluate_many`.  Only the
-    coordinator ever fans out.
+    Inside a worker (pool process or serial run) the answer is always
+    0: pool workers inherit ``REPRO_WORKERS`` from the coordinator's
+    environment, and honoring it there would nest process pools (or
+    re-enter the serial path) every time a unit internally calls a
+    decomposed entry point such as
+    :meth:`~repro.core.Evaluator.evaluate_many`.  Only the coordinator
+    ever fans out.
     """
     if _workers.in_worker():
         return 0
@@ -132,274 +101,199 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return count
 
 
-def _result_ok(result: UnitResult) -> bool:
-    """Whether a unit completed without an error or unhandled lines."""
-    return result.error is None and not result.unhandled
+def _pickled(context: WorkerContext) -> Optional[bytes]:
+    """The context's payload, or None (and an event) if unpicklable."""
+    try:
+        return pickle.dumps(context)
+    except Exception as exc:  # physlint: disable=RPR201
+        # Broad by necessity: pickle.dumps reports unpicklability as
+        # whatever the object's __reduce__ raises (TypeError,
+        # AttributeError, PicklingError, ...), so no narrower tuple
+        # covers the probe.  An unpicklable context (a policy or
+        # leakage model holding a closure, say) cannot cross a process
+        # boundary, but the serial path can still run it directly —
+        # entry points that auto-engage on REPRO_WORKERS must not start
+        # crashing merely because the env var is set.
+        _obs.event("exec.pool_fallback", error=type(exc).__name__)
+        return None
 
 
 def _run_serial(context: WorkerContext, units: Sequence[WorkUnit],
-                progress: Optional[Any] = None) -> List[UnitResult]:
+                accept: Callable[[UnitResult], None],
+                progress: Optional[Any] = None) -> None:
     """Execute units in-process through the worker shim.
 
     Re-entrant: the previously installed runtime (if any) is saved and
     restored around the run, so a nested :func:`run_units` call — a
     unit whose body reaches a decomposed entry point — degrades to
-    serial execution instead of corrupting the enclosing executor's
-    state.
+    serial execution instead of corrupting the enclosing run's state.
     """
     previous = _workers.install_runtime(context)
     try:
-        results = []
         for unit in units:
             if progress is not None:
                 progress.unit_running(unit.name)
             result = _workers.run_unit(unit)
             if progress is not None:
                 progress.unit_done(unit.name, result.wall_seconds,
-                                   ok=_result_ok(result))
-            results.append(result)
-        return results
+                                   ok=result.ok)
+            accept(result)
     finally:
         _workers.restore_runtime(previous)
 
 
-def _progress_callback(progress: Any, name: str):
-    """A future done-callback reporting one unit to the board.
-
-    Fires on an executor thread as soon as the worker finishes — the
-    board updates live even while the positional await is still parked
-    on an earlier, slower unit.
-    """
-    def _notify(future) -> None:
-        try:
-            result = future.result()
-        except Exception:  # physlint: disable=RPR201
-            # Whatever the future raises (BrokenProcessPool, a
-            # pickling error, anything a worker re-raised) is
-            # re-raised and handled by the positional await in
-            # _run_pool; the callback only needs to mark the unit
-            # failed on the board without masking that path.
-            progress.unit_done(name, 0.0, ok=False)
-            return
-        progress.unit_done(name, result.wall_seconds,
-                           ok=_result_ok(result))
-    return _notify
-
-
-def _run_pool(payload: bytes, units: Sequence[WorkUnit],
-              max_workers: int,
-              progress: Optional[Any] = None) -> List[UnitResult]:
-    """Execute units on a process pool, collecting in submission order."""
-    mp_context = None
-    method = os.environ.get(START_METHOD_ENV, "").strip()
-    if method:
-        import multiprocessing
-        mp_context = multiprocessing.get_context(method)
-    with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=mp_context,
-            initializer=_workers.initialize,
-            initargs=(payload,)) as pool:
-        futures = []
-        for unit in units:
-            future = pool.submit(_workers.run_unit, unit)
-            if progress is not None:
-                progress.unit_running(unit.name)
-                future.add_done_callback(
-                    _progress_callback(progress, unit.name))
-            futures.append(future)
-        # Awaiting positionally (not as_completed) is the merge
-        # contract: results line up with submissions no matter which
-        # worker finished first.
-        return [future.result() for future in futures]
-
-
-def _run_threads(context: WorkerContext, units: Sequence[WorkUnit],
-                 max_workers: int,
-                 progress: Optional[Any] = None) -> List[UnitResult]:
-    """Execute units on an in-process thread pool.
-
-    Every thread shares the coordinator's live problem templates —
-    zero pickling, zero cold start, and one operator whose factor LRU
-    serves all threads (the operator's internal lock serializes the
-    cold factorizations; warm back-substitutions overlap because
-    SuperLU releases the GIL).  Per-thread solve isolation comes from
-    the model's thread-local overlay buffers.
-
-    Telemetry is suspended for the duration: the tracer and metrics
-    registry are single-threaded by design, so units must not touch
-    them concurrently.  The saved state is restored on exit and
-    :func:`run_units` still records per-unit spans at adoption.
-    """
-    thread_context = dataclasses.replace(context, telemetry=False)
-    saved = (_obs.STATE.tracer, _obs.STATE.metrics, _obs.STATE.enabled)
-    _obs.STATE.enabled = False
-    previous = _workers.install_runtime(thread_context)
-    try:
-        with ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix="repro-exec") as pool:
-            futures = []
-            for unit in units:
-                future = pool.submit(_workers.run_unit, unit)
-                if progress is not None:
-                    progress.unit_running(unit.name)
-                    future.add_done_callback(
-                        _progress_callback(progress, unit.name))
-                futures.append(future)
-            # Positional await: the same merge contract as the
-            # process pool.
-            return [future.result() for future in futures]
-    finally:
-        _workers.restore_runtime(previous)
-        (_obs.STATE.tracer, _obs.STATE.metrics,
-         _obs.STATE.enabled) = saved
-
-
-def run_units(context: WorkerContext, units: Sequence[WorkUnit],
-              workers: int,
-              progress: Optional[Any] = None,
-              executor: Optional[str] = None,
-              pool: Optional[WorkerPool] = None) -> List[UnitResult]:
-    """Run units with ``workers`` processes; merge in submission order.
-
-    ``workers <= 1`` (or a single unit, or a call issued from inside a
-    worker) executes serially in-process.  A context that fails to
-    pickle, or a pool that cannot start or breaks mid-run, falls back
-    to the serial executor — the units are pure functions of the
-    context, so re-execution is safe — and records an
-    ``exec.pool_fallback`` event.  Worker telemetry is adopted onto
-    the live tracer before returning.
-
-    ``executor`` selects the backend (:data:`EXECUTORS`; None defers
-    to ``REPRO_EXECUTOR``, then ``process``).  The ``thread`` backend
-    runs units on an in-process thread pool — no pickling, shared
-    operator caches — and the ``serial`` backend forces the in-process
-    loop.  ``pool`` routes the process path through a persistent
-    :class:`~repro.exec.pool.WorkerPool` instead of a one-shot
-    ``ProcessPoolExecutor``, keeping worker caches warm across calls.
-
-    On the one-shot process path a shared-memory publication scope
-    (:func:`repro.exec.shm.publication`) is held open around pickling
-    and execution, so the heavy operator/network arrays ship as shm
-    descriptors instead of per-worker copies; a persistent pool owns
-    its own publication scope instead.
-
-    ``progress`` (a :class:`~repro.obs.ProgressBoard`, or anything
-    with its hook methods) receives ``begin``/``unit_running``/
-    ``unit_done`` as units move — from executor threads on the pool
-    path, in-line on the serial path.
-    """
-    units = list(units)
-    if progress is not None:
-        progress.begin(len(units))
-    backend = resolve_executor(executor)
-    # An explicit persistent pool fans out even at one worker — its
-    # resident process holds the warm caches the caller paid for.
-    fan_out = (workers > 1 or pool is not None) and len(units) > 1 \
-        and not _workers.in_worker()
-    if pool is None and backend == "thread" and fan_out:
-        results = _run_threads(context, units,
-                               min(workers, len(units)),
-                               progress=progress)
-        _adopt_telemetry(results)
-        return results
-    # An explicit persistent pool outranks the env-resolved backend —
-    # the caller built real processes and expects them used.
-    pooled = fan_out and (backend == "process" or pool is not None)
-    # The persistent pool holds its own publication scope open for its
-    # whole life (descriptor memoization is what keeps its context
-    # digests stable), so only the one-shot pool opens one here.
-    scope = _shm.publication() if pooled and pool is None \
-        else nullcontext()
-    with scope:
-        payload: Optional[bytes] = None
-        try:
-            payload = pickle.dumps(context)
-        except Exception as exc:  # physlint: disable=RPR201
-            # Broad by necessity: pickle.dumps reports unpicklability
-            # as whatever the object's __reduce__ raises (TypeError,
-            # AttributeError, PicklingError, ...), so no narrower
-            # tuple covers the probe.  An unpicklable context (a
-            # policy or leakage model holding a closure, say) cannot
-            # cross a process boundary, but the serial executor can
-            # still run it directly — entry points that auto-engage on
-            # REPRO_WORKERS must not start crashing merely because the
-            # env var is set.
-            _obs.event("exec.pool_fallback", error=type(exc).__name__)
-        results: Optional[List[UnitResult]] = None
-        if payload is not None and pooled:
-            if pool is not None:
-                try:
-                    results = pool.run_payload(payload, units,
-                                               progress=progress)
-                except WorkerPoolError as exc:
-                    _obs.event("exec.pool_fallback",
-                               error=type(exc).__name__)
-                    results = None
-            else:
-                try:
-                    results = _run_pool(payload, units,
-                                        min(workers, len(units)),
-                                        progress=progress)
-                except (OSError, BrokenProcessPool,
-                        pickle.PicklingError) as exc:
-                    _obs.event("exec.pool_fallback",
-                               error=type(exc).__name__)
-                    results = None
-        if results is None:
-            # Round-trip through the payload when possible so serial
-            # and pool runs exercise the identical serialization path.
-            serial_context = context if payload is None \
-                else pickle.loads(payload)
-            results = _run_serial(serial_context, units,
-                                  progress=progress)
-    _adopt_telemetry(results)
-    return results
-
-
-def adopt_unit_telemetry(name: str, index: int, pid: Optional[int],
-                         wall_seconds: float,
-                         spans: Optional[Sequence[Dict[str, Any]]],
-                         metrics_snapshot: Optional[dict]) -> None:
-    """Graft one unit's exported telemetry onto the live trace.
+def adopt_unit_telemetry(result: UnitResult) -> None:
+    """Graft one accepted unit's telemetry onto the live trace.
 
     Creates a ``unit`` span on the live tracer whose extent is the
     unit's worker wall time (ending now), adopts the worker's exported
     span records under it with their clocks shifted to the unit span's
     origin, and folds the worker's metrics snapshot into the live
-    registry.  No-op while telemetry is disabled.
-
-    This is the single adoption seam shared by the end-of-run merge
-    (:func:`run_units`) and the supervisor's streamed telemetry
-    packets — both paths produce the identical merged tree shape.
+    registry.  The records are then dropped from the result (also
+    while telemetry is disabled), so no unit is adopted twice and
+    journals stay small.
     """
-    if not _obs.STATE.enabled:
-        return
-    tracer = _obs.STATE.tracer
-    metrics = _obs.STATE.metrics
-    unit_span = tracer.start_span("unit", name, index=index,
-                                  worker_pid=pid)
-    tracer.end_span(unit_span)
-    if unit_span.end_s is not None:
-        unit_span.start_s = max(
-            unit_span.end_s - wall_seconds, 0.0)
-    if spans:
-        tracer.adopt_records(spans, parent=unit_span,
-                             time_offset=unit_span.start_s)
-    if metrics_snapshot:
-        metrics.merge_snapshot(metrics_snapshot)
+    if _obs.STATE.enabled:
+        tracer = _obs.STATE.tracer
+        unit_span = tracer.start_span("unit", result.name,
+                                      index=result.index,
+                                      worker_pid=result.stats.get("pid"))
+        tracer.end_span(unit_span)
+        if unit_span.end_s is not None:
+            unit_span.start_s = max(
+                unit_span.end_s - result.wall_seconds, 0.0)
+        if result.spans:
+            tracer.adopt_records(result.spans, parent=unit_span,
+                                 time_offset=unit_span.start_s)
+        if result.metrics:
+            _obs.STATE.metrics.merge_snapshot(result.metrics)
+    result.spans = None
+    result.metrics = None
 
 
-def _adopt_telemetry(results: Sequence[UnitResult]) -> None:
-    """Re-parent worker spans/metrics under the coordinating trace."""
-    if not _obs.STATE.enabled:
-        return
-    for result in results:
-        adopt_unit_telemetry(result.name, result.index,
-                             result.stats.get("pid"),
-                             result.wall_seconds, result.spans,
-                             result.metrics)
+def run_units(context: WorkerContext, units: Sequence[WorkUnit],
+              workers: int,
+              progress: Optional[Any] = None,
+              pool: Optional[WorkerPool] = None) -> List[UnitResult]:
+    """Run units on ``workers`` processes; merge in submission order.
+
+    ``workers <= 1`` (or a single unit, or a call issued from inside a
+    worker) executes serially in-process.  Otherwise the units run on
+    ``pool``, or on a :class:`~repro.exec.WorkerPool` of
+    ``min(workers, len(units))`` processes opened and closed around the
+    call.  A context that fails to pickle, or a pool that cannot start
+    or breaks mid-run, records an ``exec.pool_fallback`` event and
+    finishes the remaining units serially; the units are pure
+    functions of the context, so the results are the same.  An
+    explicit ``pool`` fans out even at one worker: its resident process
+    holds the warm caches the caller paid for.
+
+    ``progress`` (a :class:`~repro.obs.ProgressBoard`, or anything
+    with its hook methods) receives ``begin``/``unit_running``/
+    ``unit_done`` as units move, plus ``live_metrics`` snapshots from
+    pool workers.
+    """
+    units = list(units)
+    if progress is not None:
+        progress.begin(len(units))
+    done: Dict[int, UnitResult] = {}
+
+    def accept(result: UnitResult) -> None:
+        done[result.index] = result
+        adopt_unit_telemetry(result)
+
+    # Serial runs round-trip through the payload too, so they exercise
+    # the identical serialization path and leave the caller's
+    # templates untouched.
+    payload = _pickled(context)
+    if payload is not None and (workers > 1 or pool is not None) \
+            and len(units) > 1 and not _workers.in_worker():
+        active = pool if pool is not None \
+            else WorkerPool(min(workers, len(units)))
+        try:
+            active.run_payload(payload, units, progress=progress,
+                               accept=accept)
+        except WorkerPoolError as exc:
+            _obs.event("exec.pool_fallback", error=type(exc).__name__)
+        finally:
+            if pool is None:
+                active.close()
+    remaining = [unit for unit in units if unit.index not in done]
+    if remaining:
+        serial_context = context if payload is None \
+            else pickle.loads(payload)
+        _run_serial(serial_context, remaining, accept, progress)
+    return [done[unit.index] for unit in units]
+
+
+def run_units_supervised(
+    context: WorkerContext,
+    units: Sequence[WorkUnit],
+    workers: int,
+    policy: Optional[SupervisionPolicy] = None,
+    journal: Optional[JournalWriter] = None,
+    completed: Optional[Mapping[int, UnitResult]] = None,
+    monitor: Optional[Any] = None,
+) -> SupervisedOutcome:
+    """Run units under supervision; never raises for worker death.
+
+    The supervised counterpart of :func:`run_units`: same
+    submission-order merge and bit-identical results, but worker
+    crashes, hangs, and slowdowns are absorbed by retries and — past
+    ``policy.max_attempts`` — quarantine (see
+    :class:`~repro.exec.pool.WorkerPool`).  ``journal`` durably
+    records every completed unit; ``completed`` (from
+    :func:`repro.exec.read_journal`) pre-seeds results so a resumed
+    campaign skips finished work.  ``workers < 2`` runs the units
+    serially with journaling (nothing to supervise in-process), as does
+    the remainder of a run whose circuit breaker opened.  Process-level
+    faults never fire in-process: there is no worker to kill that is
+    not also the coordinator.
+
+    ``monitor`` (a :class:`~repro.obs.ProgressBoard`, or anything with
+    its hook methods) receives the unit lifecycle — including
+    supervision-only states (``unit_retrying``, ``unit_quarantined``)
+    — plus ``live_metrics`` snapshots streamed mid-run from workers.
+    """
+    policy = policy or SupervisionPolicy()
+    seeded = dict(completed or {})
+    outcome = SupervisedOutcome(
+        results=[seeded.get(unit.index) for unit in units])
+    position = {unit.index: pos for pos, unit in enumerate(units)}
+    pending = [unit for unit in units if unit.index not in seeded]
+    if not pending:
+        return outcome
+    if monitor is not None:
+        monitor.begin(len(pending))
+
+    def accept(result: UnitResult) -> None:
+        outcome.results[position[result.index]] = result
+        if journal is not None:
+            journal.append(result)
+        adopt_unit_telemetry(result)
+
+    payload = _pickled(context)
+    if payload is not None and workers >= 2 \
+            and not _workers.in_worker():
+        with WorkerPool(
+                min(workers, len(pending)),
+                heartbeat_timeout_seconds=policy.heartbeat_timeout_seconds,
+                heartbeat_interval_seconds=(
+                    policy.heartbeat_interval_seconds)) as pool:
+            run = pool.run_supervised(
+                payload, pending, policy, fault_plan=context.fault_plan,
+                progress=monitor, accept=accept)
+        outcome.quarantined = run.quarantined
+        outcome.retries = run.retries
+        outcome.replacements = run.replacements
+        outcome.process_fired = run.process_fired
+        outcome.circuit_opened = run.circuit_opened
+    quarantined = {entry.index for entry in outcome.quarantined}
+    remaining = [unit for unit in pending
+                 if outcome.results[position[unit.index]] is None
+                 and unit.index not in quarantined]
+    _run_serial(context, remaining, accept, monitor)
+    return outcome
 
 
 def worker_statistics(results: Sequence[UnitResult]) -> Dict[str, Any]:
@@ -469,7 +363,7 @@ class CampaignMerge:
             retry budget (:class:`~repro.exec.QuarantinedUnit`).
         retries: Supervised runs only — attempts beyond the first.
         circuit_opened: Supervised runs only — True when the run
-            degraded to the serial executor.
+            degraded to the serial path.
     """
 
     comparisons: List[Any] = field(default_factory=list)
@@ -500,7 +394,6 @@ def run_campaign_units(
     completed: Optional[Mapping[int, UnitResult]] = None,
     jac: str = "analytic",
     progress: Optional[Any] = None,
-    executor: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
 ) -> CampaignMerge:
     """Decompose a campaign into stage (or benchmark) units and merge.
@@ -518,10 +411,9 @@ def run_campaign_units(
     way.  ``supervision`` (a :class:`~repro.exec.SupervisionPolicy`),
     ``journal`` (a :class:`~repro.exec.JournalWriter`), or
     ``completed`` (journaled results keyed by unit index) route the
-    units through the supervised executor — worker death becomes
+    units through :func:`run_units_supervised` — worker death becomes
     retries/quarantine instead of a raise, and completed units are
-    skipped.  ``executor``/``pool`` select the backend exactly as in
-    :func:`run_units`.  The caller owns the surrounding ``campaign``
+    skipped.  ``pool`` is passed to :func:`run_units`.  The caller owns the surrounding ``campaign``
     span and the :class:`CampaignResult` assembly — this function
     returns the raw merge.
     """
@@ -553,8 +445,6 @@ def run_campaign_units(
                  for index, name in enumerate(profiles)]
     merge = CampaignMerge()
     if supervised:
-        # Late import: supervisor imports this module at its top.
-        from .supervisor import run_units_supervised
         outcome = run_units_supervised(
             context, units, workers, policy=supervision,
             journal=journal, completed=completed, monitor=progress)
@@ -566,8 +456,7 @@ def run_campaign_units(
             merge.fired[kind] = merge.fired.get(kind, 0) + count
     else:
         results = run_units(context, units, workers,
-                            progress=progress, executor=executor,
-                            pool=pool)
+                            progress=progress, pool=pool)
     merge.worker_stats = worker_statistics(results)
     if pool is not None:
         merge.worker_stats["pool"] = pool.stats()
@@ -709,7 +598,6 @@ def evaluate_points(
     workers: int,
     chunk: Optional[int] = None,
     progress: Optional[Any] = None,
-    executor: Optional[str] = None,
 ) -> List[Any]:
     """Evaluate ``(omega, I)`` points by fanning chunks across workers.
 
@@ -728,8 +616,7 @@ def evaluate_points(
     context = WorkerContext(point_problem=problem,
                             telemetry=_obs.STATE.enabled)
     units = _chunk_units(points, "points", chunk)
-    results = run_units(context, units, workers, progress=progress,
-                        executor=executor)
+    results = run_units(context, units, workers, progress=progress)
     evaluations: List[Any] = []
     for result in results:
         if result.error is not None:
@@ -749,7 +636,6 @@ def solve_fields(
     workers: int,
     chunk: Optional[int] = None,
     progress: Optional[Any] = None,
-    executor: Optional[str] = None,
 ) -> List[Any]:
     """Temperature fields at many points, fanned across workers.
 
@@ -773,17 +659,13 @@ def solve_fields(
         return []
     if chunk is None:
         chunk = default_chunk(len(points), workers)
-    # The power map is a pure read-only constant: wrapping it lets an
-    # open shm plane ship one copy for all workers (it unwraps to a
-    # plain ndarray on the other side either way).
     context = WorkerContext(
         field_model=model,
-        field_power=_shm.SharedArrayRef(dynamic_cell_power),
+        field_power=dynamic_cell_power,
         field_leakage=leakage,
         telemetry=_obs.STATE.enabled)
     units = _chunk_units(points, "fields", chunk)
-    results = run_units(context, units, workers, progress=progress,
-                        executor=executor)
+    results = run_units(context, units, workers, progress=progress)
     fields: List[Any] = []
     for result in results:
         if result.error is not None:
@@ -801,7 +683,6 @@ def run_oftec_units(
     method: str,
     workers: int,
     jac: str = "analytic",
-    executor: Optional[str] = None,
 ) -> Dict[str, Any]:
     """OFTEC per representative profile (LUT precompute), in parallel.
 
@@ -817,7 +698,7 @@ def run_oftec_units(
         telemetry=_obs.STATE.enabled)
     units = [WorkUnit(index=index, kind="oftec", name=label)
              for index, label in enumerate(profiles)]
-    results = run_units(context, units, workers, executor=executor)
+    results = run_units(context, units, workers)
     table: Dict[str, Any] = {}
     for result in results:
         if result.error is not None:
@@ -831,19 +712,16 @@ def run_oftec_units(
 
 __all__ = [
     "CampaignMerge",
-    "EXECUTORS",
-    "EXECUTOR_ENV",
-    "START_METHOD_ENV",
     "WORKERS_ENV",
     "adopt_unit_telemetry",
     "chunk_sizes",
     "default_chunk",
     "evaluate_points",
-    "resolve_executor",
     "resolve_workers",
     "run_campaign_units",
     "run_oftec_units",
     "run_units",
+    "run_units_supervised",
     "solve_fields",
     "worker_statistics",
 ]

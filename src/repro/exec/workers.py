@@ -1,24 +1,25 @@
-"""The code that runs inside pool workers.
+"""The code that runs inside worker processes.
 
-One :func:`initialize` call per worker process unpickles the shared
-:class:`~repro.exec.units.WorkerContext`; after that every
-:func:`run_unit` call executes one :class:`~repro.exec.units.WorkUnit`
-against the worker's *own* lazily built evaluators and thermal
-operators.  That locality is the whole point: the splu factor cache on
-each problem template's model warms once per worker and then serves
-every subsequent unit, so N workers pay N cold starts — not one per
-unit.
+Every pool worker runs :func:`worker_main`, the one worker loop of the
+engine.  It installs the pickled
+:class:`~repro.exec.units.WorkerContext` the coordinator broadcasts,
+then executes :class:`~repro.exec.units.WorkUnit`\\ s through
+:func:`run_unit` against the worker's *own* lazily built evaluators and
+thermal operators.  That locality is the whole point: the splu factor
+cache on each problem template's model warms once per worker and then
+serves every subsequent unit, so N workers pay N cold starts, not one
+per unit.
 
-Nothing in this module assumes a separate process.  The scheduler's
-serial fallback calls :func:`install_context`/:func:`run_unit` in the
-coordinating process (leaving its telemetry state alone), which is
-also what makes the shim trivially testable.
+Nothing in :func:`run_unit` assumes a separate process.  The
+coordinator's serial path calls :func:`install_runtime`/:func:`run_unit`
+in-process (leaving its telemetry state alone), which is also what
+makes the shim trivially testable.
 
 Failure discipline mirrors the serial campaign exactly: library errors
 (:class:`~repro.errors.ReproError`) become structured
 :class:`~repro.core.FailureReport` entries plus a picklable
-``(stage, type, message)`` tag — original exception objects never
-cross the process boundary, because subclasses with extra constructor
+``(stage, type, message)`` tag.  Original exception objects never cross
+the process boundary, because subclasses with extra constructor
 arguments do not survive unpickling.  Non-library exceptions are
 recorded on :attr:`UnitResult.unhandled` (the chaos contract) for the
 coordinator to judge.
@@ -30,7 +31,8 @@ import os
 import pickle
 import queue as queue_module
 import threading
-from typing import Callable, Optional
+import time
+from typing import Any, Callable, Optional
 
 from ..analysis.campaign import (
     _run_benchmark,
@@ -45,12 +47,25 @@ from ..core import (
 )
 from ..errors import ConfigurationError, ReproError
 from ..faults.inject import FaultInjector, FaultyEvaluator
+from ..faults.plan import FaultKind, process_fault_decision
 from ..obs import runtime as _obs
 from ..obs.clock import monotonic, stopwatch
 from ..obs.export import span_to_dict
 from ..thermal import SteadyStateResult, solve_steady_state_batch
-from . import shm as _shm
 from .units import UnitResult, WorkUnit, WorkerContext
+
+#: Exit code a worker dies with when a ``worker-kill`` fault fires —
+#: distinguishable from real crashes in the quarantine post-mortems.
+KILL_EXIT_CODE = 113
+
+#: Stall injected by a ``worker-slow`` fault before the unit runs (s).
+#: Long enough to be visible next to the heartbeat interval, short
+#: enough never to threaten a sane deadline.
+SLOW_FAULT_DELAY_S = 0.25
+
+#: Seconds between live metric snapshots published by workers (see
+#: :func:`start_live_metrics`).
+LIVE_METRICS_PERIOD_S = 0.5
 
 
 class _WorkerRuntime:
@@ -63,7 +78,7 @@ class _WorkerRuntime:
 
 
 #: The installed runtime (rebound, never mutated, by
-#: :func:`initialize`).  None until the worker is initialized.
+#: :func:`install_runtime`).  None until a context is installed.
 _RUNTIME: Optional[_WorkerRuntime] = None
 
 
@@ -74,23 +89,11 @@ def in_worker() -> bool:
     (environment-driven) worker resolution stays serial, so a unit
     that internally calls :meth:`~repro.core.Evaluator.evaluate_many`
     or another decomposed entry point can never spawn a pool inside a
-    pool worker — or, through the serial executor, clobber the
-    enclosing executor's state.  True for the lifetime of a pool
-    worker process and for the duration of a serial-executor run.
+    pool worker — or, through the serial path, clobber the enclosing
+    run's state.  True for the lifetime of a pool worker process and
+    for the duration of a serial run.
     """
     return _RUNTIME is not None
-
-
-def current_context() -> Optional[WorkerContext]:
-    """The installed worker context, or None outside a worker.
-
-    The supervised worker loop reads the shared
-    :class:`~repro.exec.units.WorkerContext` back (for the fault plan
-    driving process-level injection) without reaching into the private
-    runtime holder.
-    """
-    runtime = _RUNTIME
-    return runtime.context if runtime is not None else None
 
 
 def install_runtime(context: WorkerContext,
@@ -99,11 +102,11 @@ def install_runtime(context: WorkerContext,
 
     The return value is the previous runtime (None when there was
     none), to be handed back to :func:`restore_runtime` — the
-    save/restore pair that makes the serial executor safely nestable.
+    save/restore pair that makes the serial path safely nestable.
     """
     # _RUNTIME is *deliberately* per-process: it IS the worker-local
-    # runtime that in_worker() reads, installed by the pool
-    # initializer in each child.  Nothing merges back by design.
+    # runtime that in_worker() reads, installed by worker_main in each
+    # child.  Nothing merges back by design.
     global _RUNTIME  # physlint: disable=RPR602
     previous = _RUNTIME
     _RUNTIME = _WorkerRuntime(context)
@@ -116,57 +119,22 @@ def restore_runtime(previous: Optional[_WorkerRuntime]) -> None:
     _RUNTIME = previous
 
 
-def install_context(payload: bytes) -> None:
-    """Install the shared context from its pickled form.
-
-    ``payload`` is ``pickle.dumps(WorkerContext)`` — pickled explicitly
-    by the coordinator so the fork and spawn start methods (and the
-    in-process serial executor) all exercise the identical
-    serialization path.
-    """
-    install_runtime(pickle.loads(payload))
-
-
-def clear_context() -> None:
-    """Uninstall the worker context unconditionally (test teardown)."""
-    global _RUNTIME
-    _RUNTIME = None
-
-
-def initialize(payload: bytes) -> None:
-    """Pool-worker initializer: reset telemetry, install the context.
-
-    Telemetry state is reset defensively (the at-fork hook already
-    handles forked children; spawned workers import fresh) so a worker
-    never inherits an enabled tracer it cannot report to.  The serial
-    executor calls :func:`install_context` instead — resetting the
-    coordinator's own telemetry mid-campaign would discard its trace.
-    """
-    _obs.reset()
-    install_context(payload)
-
-
-#: Seconds between live metric snapshots published by supervised
-#: workers (see :func:`start_live_metrics`).
-LIVE_METRICS_PERIOD_S = 0.5
-
-
-def start_live_metrics(slot: int, telemetry_queue,
+def start_live_metrics(slot: int, result_queue: Any,
                        period: float = LIVE_METRICS_PERIOD_S,
                        ) -> threading.Event:
-    """Publish periodic metric snapshots from a supervised worker.
+    """Publish periodic metric snapshots from a worker.
 
     Starts a daemon thread that, every ``period`` seconds while the
     worker's telemetry session is active, snapshots the worker-local
-    metrics registry and puts a ``("live", slot, ...)`` packet on
-    ``telemetry_queue`` — the incremental feed the supervisor drains
-    into the live progress board, so cache hit rates update *during*
-    long units instead of only at unit completion.  Returns the stop
-    event; setting it ends the thread at the next period boundary.
+    metrics registry and puts a ``("live", slot, snapshot)`` message on
+    ``result_queue``.  The coordinator feeds it to the live progress
+    board, so cache hit rates update *during* long units instead of
+    only at unit completion.  Returns the stop event; setting it ends
+    the thread at the next period boundary.
 
     Best-effort by design: a full queue drops the snapshot (the next
     one supersedes it anyway) and a snapshot torn by a concurrent
-    update is skipped — the publisher must never stall or crash the
+    update is skipped.  The publisher must never stall or crash the
     unit it is narrating.
     """
     stop = threading.Event()
@@ -183,8 +151,7 @@ def start_live_metrics(slot: int, telemetry_queue,
                 # transient inconsistency) just skips this period.
                 continue
             try:
-                telemetry_queue.put_nowait(
-                    ("live", slot, None, 0, None, snapshot, 0.0, None))
+                result_queue.put_nowait(("live", slot, snapshot))
             except queue_module.Full:
                 continue
 
@@ -193,6 +160,93 @@ def start_live_metrics(slot: int, telemetry_queue,
                               daemon=True)
     thread.start()
     return stop
+
+
+def _heartbeat_loop(slot: int, heartbeats: Any, interval: float,
+                    silenced: threading.Event, parent: int) -> None:
+    """Worker-side daemon: bump the shared slot until silenced.
+
+    Also ends the worker once its coordinator is gone: a coordinator
+    killed with SIGKILL stops no workers, and an orphan would otherwise
+    block on its task queue forever.
+    """
+    while not silenced.is_set():
+        if os.getppid() != parent:
+            os._exit(0)
+        with heartbeats.get_lock():
+            heartbeats[slot] += 1.0
+        silenced.wait(interval)
+
+
+def worker_main(slot: int, task_queue: Any, result_queue: Any,
+                heartbeats: Any, interval: float) -> None:
+    """Entry point of every worker process.
+
+    Serves three messages until the ``None`` sentinel:
+
+    * ``("install", digest, payload)`` unpickles and installs a new
+      context.  A ``None`` payload is a reuse token: the worker keeps
+      its installed context, and with it every warm cache.  A failed
+      install or a reuse token for a context the worker does not hold
+      raises, so the worker dies and the coordinator sees a dead slot.
+    * ``("unit", unit, attempt)`` runs one unit and replies
+      ``("result", slot, attempt, result)``.  Process-level faults from
+      the context's plan are decided here, per (unit label, attempt),
+      before the unit runs; the coordinator recomputes every decision
+      without a side channel.  Attempt 0 marks an unsupervised
+      dispatch, on which no process-level fault ever fires.
+
+    A daemon thread bumps the slot's shared heartbeat counter (and
+    ends the worker if the coordinator dies), and a second one
+    publishes live metric snapshots (see :func:`start_live_metrics`).
+    """
+    _obs.reset()
+    silenced = threading.Event()
+    threading.Thread(target=_heartbeat_loop,
+                     args=(slot, heartbeats, interval, silenced,
+                           os.getppid()),
+                     daemon=True).start()
+    live_stop = start_live_metrics(slot, result_queue)
+    digest: Optional[str] = None
+    while True:
+        item = task_queue.get()
+        if item is None:
+            silenced.set()
+            live_stop.set()
+            return
+        if item[0] == "install":
+            _, wanted, payload = item
+            if payload is not None:
+                install_runtime(pickle.loads(payload))
+            elif digest != wanted or not in_worker():
+                raise ConfigurationError(
+                    f"worker {slot} holds no context {wanted}")
+            digest = wanted
+            continue
+        _, unit, attempt = item
+        fault = process_fault_decision(_RUNTIME.context.fault_plan,
+                                       unit.name, attempt)
+        if fault is FaultKind.WORKER_KILL:
+            os._exit(KILL_EXIT_CODE)
+        if fault is FaultKind.WORKER_HANG:
+            # A real hang takes the heartbeat with it (a deadlocked
+            # process beats no drums); silencing the thread makes the
+            # injected hang indistinguishable from one.
+            silenced.set()
+            while True:
+                time.sleep(interval)
+        if fault is FaultKind.WORKER_SLOW:
+            time.sleep(SLOW_FAULT_DELAY_S)
+        try:
+            result = run_unit(unit)
+        except Exception as exc:  # physlint: disable=RPR201
+            # Broad by contract: run_unit already packages library
+            # errors, so anything landing here is outside the library
+            # contract.  It becomes a failed result the coordinator can
+            # report precisely; raising would kill the worker instead.
+            result = UnitResult(index=unit.index, name=unit.name)
+            result.unhandled.append(f"{type(exc).__name__}: {exc}")
+        result_queue.put(("result", slot, attempt, result))
 
 
 def run_unit(unit: WorkUnit) -> UnitResult:
@@ -206,7 +260,7 @@ def run_unit(unit: WorkUnit) -> UnitResult:
     runtime = _RUNTIME
     if runtime is None:
         raise ConfigurationError(
-            "worker runtime not initialized; initialize() must run "
+            "worker runtime not initialized; install_runtime() must run "
             "before run_unit()")
     context = runtime.context
     result = UnitResult(index=unit.index, name=unit.name)
@@ -397,17 +451,11 @@ def _execute_fields(context: WorkerContext, unit: WorkUnit,
             "context")
     operator = context.field_model.network.operator
     before = operator.stats
-    # The power map crosses the boundary as a SharedArrayRef when an
-    # shm plane was open; on the direct paths (threads, unpicklable
-    # fallback) the wrapper arrives intact and unwraps here.
-    power = context.field_power
-    if isinstance(power, _shm.SharedArrayRef):
-        power = power.array
     try:
         with _obs.span("fields", unit.name, count=len(unit.params)):
             outcomes = solve_steady_state_batch(
                 context.field_model, list(unit.params),
-                power, leakage=context.field_leakage)
+                context.field_power, leakage=context.field_leakage)
         result.value = [
             outcome.chip_temperatures
             if isinstance(outcome, SteadyStateResult) else None
@@ -436,5 +484,10 @@ def _execute_oftec(context: WorkerContext, unit: WorkUnit,
     _operator_deltas(result, (before,), (operator.stats,))
 
 
-__all__ = ["LIVE_METRICS_PERIOD_S", "initialize", "run_unit",
-           "start_live_metrics"]
+__all__ = [
+    "KILL_EXIT_CODE",
+    "LIVE_METRICS_PERIOD_S",
+    "SLOW_FAULT_DELAY_S",
+    "run_unit",
+    "worker_main",
+]

@@ -64,7 +64,6 @@ def run_chaos_campaign(
     workers: Optional[int] = None,
     supervision: Optional[object] = None,
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
 ) -> ChaosReport:
     """Run the benchmark campaign with fault injection turned on.
 
@@ -110,7 +109,7 @@ def run_chaos_campaign(
         return _run_chaos_parallel(
             profiles, tec_problem_template, baseline_problem_template,
             plan, method, resilient, worker_count, supervision,
-            progress=progress, executor=executor)
+            progress=progress)
     injector = FaultInjector(plan)
     report = ChaosReport(plan=plan)
     watch = stopwatch("chaos.wall_seconds")
@@ -153,7 +152,6 @@ def _run_chaos_parallel(
     workers: int,
     supervision: Optional[object] = None,
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
 ) -> ChaosReport:
     """Chaos campaign over the parallel engine.
 
@@ -173,7 +171,7 @@ def _run_chaos_parallel(
             method=method, include_tec_only=False,
             resilient=resilient, policy=None, fault_plan=plan,
             workers=workers, supervision=supervision,
-            progress=progress, executor=executor)
+            progress=progress)
         report.unhandled.extend(merge.unhandled)
         for text in merge.unhandled:
             _obs.event("chaos.unhandled",

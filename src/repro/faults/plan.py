@@ -35,8 +35,8 @@ class FaultKind(enum.Enum):
     SOLVE_TIMEOUT = "solve-timeout"
     #: Process-level: hard-kill the pool worker (``os._exit``) before
     #: it runs the unit, as an OOM killer or segfault would.  Only
-    #: fires inside a *supervised* worker (:mod:`repro.exec`); the
-    #: serial executor and the plain pool ignore it.
+    #: fires on a *supervised* pool run (:mod:`repro.exec`); serial
+    #: and unsupervised runs ignore it.
     WORKER_KILL = "worker-kill"
     #: Process-level: the worker goes silent — heartbeats stop and the
     #: unit never completes — as a deadlocked or livelocked process
@@ -59,9 +59,9 @@ EVALUATOR_FAULT_KINDS: Tuple[FaultKind, ...] = (
     FaultKind.SOLVE_TIMEOUT,
 )
 
-#: The process-level fault kinds injected by the supervised worker
-#: loop (:mod:`repro.exec.supervisor`).  Inert everywhere else: a
-#: ``worker-kill`` in the serial executor would take down the
+#: The process-level fault kinds injected by the worker loop on
+#: supervised runs (:mod:`repro.exec.workers`).  Inert everywhere else:
+#: a ``worker-kill`` on the serial path would take down the
 #: coordinator itself, so these kinds fire only where a supervisor is
 #: watching.
 PROCESS_FAULT_KINDS: Tuple[FaultKind, ...] = (

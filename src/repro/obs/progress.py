@@ -1,8 +1,8 @@
 """Live campaign progress: per-unit state, throughput, cache, ETA.
 
 :class:`ProgressBoard` is the consumer side of the exec layer's
-progress hooks.  The scheduler, supervisor, and serial campaign loops
-call the ``unit_*`` methods as units move through their lifecycle
+progress hooks.  The worker pool, the serial unit loop, and the serial
+campaign loop call the ``unit_*`` methods as units move through their lifecycle
 (queued → running → retrying/quarantined → done); the board aggregates
 counts, derives throughput and an ETA from completions, folds cache
 hit rates out of live metric snapshots, and renders to an injected
@@ -13,9 +13,8 @@ text stream:
 * otherwise, one full log line at most every ``interval_s`` seconds —
   CI logs get a readable heartbeat instead of control characters.
 
-All hooks are thread-safe (pool completion callbacks fire on executor
-threads; the supervisor calls from its poll loop) and cheap enough to
-invoke per unit.  The board never owns the stream: callers pass
+All hooks are thread-safe (the pool calls them from its poll loop) and
+cheap enough to invoke per unit.  The board never owns the stream: callers pass
 ``sys.stderr`` (the CLI) or a capture buffer (tests) and keep
 responsibility for closing it.
 

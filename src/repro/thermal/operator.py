@@ -233,9 +233,9 @@ class ThermalOperator:
         self._evictions = 0
         self._adjoint_solves = 0
         self._obs_handles: Optional[_OperatorInstruments] = None
-        # Guards the LRU, the CSC data scratch, and the counters under
-        # the thread executor; cold factorizations serialize per
-        # operator while warm back-substitutions run outside the lock.
+        # Guards the LRU, the CSC data scratch, and the counters against
+        # concurrent callers; cold factorizations serialize per operator
+        # while warm back-substitutions run outside the lock.
         self._lock = threading.RLock()
 
     def _instruments(self) -> _OperatorInstruments:
@@ -339,15 +339,7 @@ class ThermalOperator:
         lifetime counters are zeroed: an unpickled operator starts cold
         in its new process (the worker rebuilds factors on demand,
         which is exactly the exec layer's cache-locality contract).
-
-        When a shared-memory publication plane is open (the scheduler
-        holds one for the duration of a parallel run), the cold
-        template arrays — CSC ``data``/``indices``/``indptr`` baseline
-        and the diagonal index map — are published once and replaced by
-        a small descriptor; workers map the same physical pages instead
-        of each receiving a pickled copy.  Publication failure falls
-        back to embedding the arrays, with bit-identical values either
-        way.
+        The lock is process-local too and is recreated on unpickling.
         """
         state = self.__dict__.copy()
         state["_lru"] = OrderedDict()
@@ -358,42 +350,11 @@ class ThermalOperator:
         state["_adjoint_solves"] = 0
         state["_obs_handles"] = None
         state.pop("_lock", None)
-        from ..exec import shm as _shm
-        plane = _shm.active_plane()
-        if plane is not None:
-            descriptor = plane.publish(self, {
-                "base": self._base_data,
-                "indices": self._csc.indices,
-                "indptr": self._csc.indptr,
-                "diag": self._diag_index,
-            })
-            if descriptor is not None:
-                state["_shm"] = descriptor
-                for key in ("_csc", "_base_data", "_diag_index"):
-                    state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Restore structure, attaching shared-memory templates if used.
-
-        The CSC ``data`` scratch is always a private writable copy of
-        the baseline (``_load`` mutates it per overlay); the index
-        arrays, the baseline, and the diagonal map stay read-only views
-        into the shared segment.
-        """
-        descriptor = state.pop("_shm", None)
         self.__dict__.update(state)
         self._lock = threading.RLock()
-        if descriptor is not None:
-            from ..exec import shm as _shm
-            arrays = _shm.attach_arrays(descriptor)
-            base = arrays["base"]
-            csc = csc_matrix(
-                (base.copy(), arrays["indices"], arrays["indptr"]),
-                shape=(self._n, self._n), copy=False)
-            self._csc = csc
-            self._base_data = base
-            self._diag_index = arrays["diag"]
 
     # -- state application --------------------------------------------
 

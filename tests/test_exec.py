@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing.process
 import pickle
 
 import pytest
@@ -183,16 +184,26 @@ class TestPointsFanOut:
 
 
 class TestPoolFallback:
+    @staticmethod
+    def _refuse_spawn(monkeypatch, error):
+        def failing_start(self):
+            raise error
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                            "start", failing_start)
+
     def test_falls_back_to_in_process(self, monkeypatch,
                                       leakage_free_problem):
-        def broken_pool(payload, units, max_workers,
-                        progress=None):
-            raise OSError("no pool for you")
-
-        monkeypatch.setattr(exec_scheduler, "_run_pool", broken_pool)
+        """Workers that cannot even start: the run emits
+        exec.pool_fallback and finishes every unit serially with the
+        serial values."""
+        self._refuse_spawn(monkeypatch, OSError("no pool for you"))
         points = [(200.0, 0.5), (240.0, 1.5), (280.0, 2.5)]
-        fanned = evaluate_points(leakage_free_problem, points, 2,
-                                 chunk=1)
+        with telemetry_session() as (tracer, _metrics):
+            fanned = evaluate_points(leakage_free_problem, points, 2,
+                                     chunk=1)
+            events = [event.name for event in tracer.orphan_events]
+        assert events.count("exec.pool_fallback") == 1
         serial = Evaluator(leakage_free_problem).evaluate_many(points)
         for ours, theirs in zip(fanned, serial):
             assert ours.max_chip_temperature \
@@ -201,14 +212,10 @@ class TestPoolFallback:
     def test_unpicklable_context_falls_back(self, monkeypatch,
                                             leakage_free_problem):
         """A context that cannot pickle must degrade to the serial
-        executor (with the original object), not raise — env-driven
+        path (with the original object), not raise — env-driven
         fan-out engages on previously-working serial call sites."""
-        def exploding_pool(payload, units, max_workers,
-                           progress=None):
-            raise AssertionError("pool must not start")
-
-        monkeypatch.setattr(exec_scheduler, "_run_pool",
-                            exploding_pool)
+        self._refuse_spawn(monkeypatch,
+                           AssertionError("pool must not start"))
         context = WorkerContext(point_problem=leakage_free_problem,
                                 policy=lambda: None)
         with pytest.raises(Exception):
@@ -222,6 +229,17 @@ class TestPoolFallback:
         for ours, theirs in zip(fanned, serial):
             assert ours.max_chip_temperature \
                 == theirs.max_chip_temperature
+
+    def test_context_pickles_to_identical_bytes(self, profiles):
+        """Warm reuse keys on the payload digest, so one context must
+        pickle to the same bytes every time."""
+        tec = build_cooling_problem(profiles["basicmath"],
+                                    grid_resolution=4)
+        base = build_cooling_problem(profiles["basicmath"],
+                                     with_tec=False, grid_resolution=4)
+        context = WorkerContext(tec_template=tec, baseline_template=base,
+                                profiles=dict(profiles))
+        assert pickle.dumps(context) == pickle.dumps(context)
 
 
 class TestNestedFanOut:
@@ -309,6 +327,40 @@ class TestTelemetryMerge:
                 metrics.merge_snapshot(foreign)
 
 
+class TestSingleAdoption:
+    """Each accepted unit's telemetry is adopted exactly once."""
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_one_unit_span_per_unit(self, profiles, supervised):
+        from repro.exec import SupervisionPolicy
+        tec = build_cooling_problem(profiles["basicmath"],
+                                    grid_resolution=4)
+        base = build_cooling_problem(profiles["basicmath"],
+                                     with_tec=False, grid_resolution=4)
+        subset = {name: profiles[name]
+                  for name in ("basicmath", "crc32")}
+        supervision = SupervisionPolicy() if supervised else None
+        with telemetry_session() as (tracer, _metrics):
+            campaign = run_campaign(subset, tec, base, workers=2,
+                                    supervision=supervision)
+            names = [span.name for span in tracer.finished
+                     if span.kind == "unit"]
+        units = campaign.worker_stats["units"]
+        # Supervised runs keep benchmark-grain units; plain runs split
+        # each benchmark into its pipeline stages.
+        expected = sorted(row["unit"] for row in units)
+        assert len(expected) == (2 if supervised else 10)
+        assert sorted(names) == expected
+        # The row keys the outside-in benchmark reads.
+        for row in units:
+            assert {"unit", "pid", "wall_seconds"} <= set(row)
+        per_worker = campaign.worker_stats["per_worker"]
+        assert sum(row["units"] for row in per_worker) == len(units)
+        for row in per_worker:
+            assert {"pid", "units", "wall_seconds", "factorizations",
+                    "factor_cache_hits"} <= set(row)
+
+
 @pytest.fixture(scope="module")
 def identity_problems(profiles):
     tec = build_cooling_problem(profiles["basicmath"],
@@ -381,6 +433,15 @@ class TestCampaignBitIdentity:
         assert "KeyError: second" in message
         assert excinfo.value.reports == ("ValueError: first",
                                          "KeyError: second")
+
+    def test_executor_argument_accepts_only_process(
+            self, profiles, identity_problems):
+        tec, base = identity_problems
+        subset = {"basicmath": profiles["basicmath"]}
+        for name in ("thread", "serial"):
+            with pytest.raises(ConfigurationError):
+                run_campaign(subset, tec, base, workers=2,
+                             executor=name)
 
     def test_workers_exclusive_with_factory(self, profiles,
                                             identity_problems):
@@ -473,65 +534,6 @@ class TestChunking:
         sizes = chunk_sizes(17, chunk)
         assert max(sizes) - min(sizes) <= 1
         assert len(sizes) >= 3
-
-
-class TestResolveExecutor:
-    def test_default_is_process(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert resolve_executor() == "process"
-
-    def test_env_fallback(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        assert resolve_executor() == "thread"
-
-    def test_argument_overrides_env(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        assert resolve_executor("serial") == "serial"
-
-    def test_normalized(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert resolve_executor(" Thread ") == "thread"
-
-    def test_junk_rejected(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        with pytest.raises(ConfigurationError):
-            resolve_executor("gevent")
-        monkeypatch.setenv(EXECUTOR_ENV, "fibers")
-        with pytest.raises(ConfigurationError):
-            resolve_executor()
-
-
-class TestThreadExecutor:
-    def test_campaign_digest_equality(self, profiles,
-                                      identity_problems):
-        """executor='thread' shares one in-process operator cache and
-        still merges bit-identically to the serial loop."""
-        tec, base = identity_problems
-        subset = {name: profiles[name]
-                  for name in ("basicmath", "crc32")}
-        serial = run_campaign(subset, tec, base, workers=0)
-        threaded = run_campaign(subset, tec, base, workers=2,
-                                executor="thread")
-        assert canonical_digest(threaded) == canonical_digest(serial)
-        # No process boundary: every unit ran in the coordinator.
-        import os
-        for row in threaded.worker_stats["per_worker"]:
-            assert row["pid"] == os.getpid()
-
-    def test_env_selected_thread_backend(self, monkeypatch, profiles,
-                                         identity_problems):
-        from repro.exec import EXECUTOR_ENV
-        tec, base = identity_problems
-        subset = {"basicmath": profiles["basicmath"],
-                  "fft": profiles["fft"]}
-        serial = run_campaign(subset, tec, base, workers=0)
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        threaded = run_campaign(subset, tec, base, workers=2)
-        assert canonical_digest(threaded) == canonical_digest(serial)
 
 
 class TestStageMerge:

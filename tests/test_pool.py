@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro import build_cooling_problem
 from repro.analysis import run_campaign
 from repro.errors import ConfigurationError
-from repro.exec import WorkerPool, WorkerPoolError, live_segment_files
+from repro.exec import WorkerPool, WorkerPoolError
 from repro.io import campaign_to_dict
 
 
@@ -48,7 +53,6 @@ class TestValidation:
         pool = WorkerPool(workers=1)
         pool.close()
         pool.close()
-        assert live_segment_files() == []
 
 
 class TestWarmReuse:
@@ -68,7 +72,6 @@ class TestWarmReuse:
         assert stats["context_installs"] == 1
         assert stats["context_reuses"] == 1
         assert stats["affinity_hits"] > 0
-        assert live_segment_files() == []
 
     def test_new_payload_reinstalls(self, subset, profiles,
                                     pool_problems):
@@ -113,7 +116,6 @@ class TestFailureDiscipline:
             assert pool.stats()["broken_runs"] == 1
         assert canonical(after) == canonical(campaign)
         assert canonical(revived) == canonical(campaign)
-        assert live_segment_files() == []
 
     def test_run_payload_raises_for_direct_callers(self, subset,
                                                    pool_problems):
@@ -131,4 +133,42 @@ class TestFailureDiscipline:
                 pool.run_payload(pickle.dumps(None), [unit])
         finally:
             pool.close()
-        assert live_segment_files() == []
+
+    def test_workers_exit_when_coordinator_dies(self):
+        """A SIGKILLed coordinator runs no cleanup; its workers must
+        notice and exit instead of blocking on their queues forever."""
+        script = (
+            "import sys, time\n"
+            "from repro.exec import WorkerPool\n"
+            "pool = WorkerPool(workers=2)\n"
+            "pool._ensure_started()\n"
+            "print(*[s.process.pid for s in pool._slots], flush=True)\n"
+            "time.sleep(60)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        coordinator = subprocess.Popen([sys.executable, "-c", script],
+                                       stdout=subprocess.PIPE, env=env,
+                                       text=True)
+        try:
+            pids = [int(pid) for pid in
+                    coordinator.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            coordinator.send_signal(signal.SIGKILL)
+            coordinator.wait(10.0)
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    return handle.read().split(")")[-1].split()[0] \
+                        != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while any(running(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in pids)

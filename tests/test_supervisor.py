@@ -1,7 +1,8 @@
-"""Supervised executor: policy, process faults, retries, quarantine."""
+"""Supervised pool runs: policy, process faults, retries, quarantine."""
 
 import hashlib
 import json
+import multiprocessing.process
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro import build_cooling_problem
 from repro.analysis import run_campaign
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.exec import CampaignMerge, SupervisionPolicy
-from repro.exec import supervisor as exec_supervisor
 from repro.faults import (
     EVALUATOR_FAULT_KINDS,
     PROCESS_FAULT_KINDS,
@@ -252,14 +252,13 @@ class TestCircuitBreaker:
                                               small_problems):
         tec, base = small_problems
 
-        def failing_spawn(self, handle, *args, **kwargs):
-            handle.process = None
-            self._spawn_failures += 1
-            self.outcome.replacements += 1
-
-        monkeypatch.setattr(exec_supervisor._Supervisor, "_spawn",
-                            failing_spawn)
         serial = run_campaign(two_profiles, tec, base, workers=0)
+
+        def failing_start(self):
+            raise OSError("no processes for you")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                            "start", failing_start)
         supervised = run_campaign(two_profiles, tec, base, workers=2,
                                   supervision=SupervisionPolicy())
         assert canonical_digest(supervised) == canonical_digest(serial)
