@@ -28,7 +28,6 @@ from ..core import (
     OptimizationOutcome,
     ResiliencePolicy,
     ResilientSolver,
-    failure_report_from_exception,
     minimize_temperature,
     run_fixed_fan_baseline,
     run_oftec,
@@ -93,11 +92,12 @@ class CampaignResult:
     wall_seconds: float = 0.0
     failures: List[FailureReport] = field(default_factory=list)
     quarantined: List[object] = field(default_factory=list)
-    #: Per-worker cache-locality statistics of a parallel run (see
-    #: :func:`repro.exec.worker_statistics`); empty for serial runs.
-    #: Never serialized — result JSON stays identical across worker
-    #: counts.  Supervised runs add a ``"supervision"`` block
-    #: (retries, replacements, circuit state).
+    #: Per-worker cache-locality statistics of the run's units (see
+    #: :func:`repro.exec.worker_statistics`; in-process runs report
+    #: the coordinator's pid as their one worker).  Never serialized —
+    #: result JSON stays identical across worker counts.  Supervised
+    #: runs add a ``"supervision"`` block (retries, replacements,
+    #: circuit state).
     worker_stats: Dict[str, object] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> BenchmarkComparison:
@@ -187,11 +187,10 @@ class CampaignResult:
         return sum(runtimes) / len(runtimes)
 
 
-#: Serial order of the per-benchmark pipeline stages.  The parallel
-#: engine decomposes a benchmark into one work unit per stage using
-#: exactly these labels; merge walks them in this order to reproduce
-#: the serial loop's skip semantics (a failed stage means later stages
-#: never ran).
+#: Run order of the per-benchmark pipeline stages.  Campaign units
+#: carry a benchmark's stages (all of them, or one on a pool) under
+#: exactly these labels, and the merge walks them in this order: a
+#: failed stage means later stages never ran.
 CAMPAIGN_STAGES = (
     "oftec-opt1",
     "oftec-opt2",
@@ -236,9 +235,9 @@ def _stage_specs(
     """Zero-argument thunks for every pipeline stage of one benchmark.
 
     Each thunk builds its own fresh evaluator via ``make``, so a stage
-    behaves identically whether it runs inline in ``_run_benchmark`` or
-    as a standalone work unit on a worker — the basis of the parallel
-    engine's stage-level decomposition staying bit-identical to serial.
+    behaves identically whether its unit carries the whole benchmark
+    or this stage alone — the basis of every unit grain staying
+    bit-identical.
     """
     if resilient:
         def oftec_stage() -> OFTECResult:
@@ -298,8 +297,10 @@ def run_campaign_stage(
 ):
     """Run exactly one pipeline stage of one benchmark.
 
-    The stage-level work-unit entry point: same thunk, same span, same
-    :class:`_StageFailure` tagging as the inline pipeline.
+    The campaign-unit executor (:mod:`repro.exec.workers`) calls this
+    once per stage it carries.  The stage runs under a ``stage`` span,
+    and any library error is raised tagged with the stage
+    (:class:`_StageFailure`).
     """
     specs = _stage_specs(name, tec_problem, base_problem, method, make,
                          resilient, policy, failures, jac=jac)
@@ -308,46 +309,12 @@ def run_campaign_stage(
     return _staged(stage, specs[stage])
 
 
-def _run_benchmark(
-    name: str,
-    tec_problem: CoolingProblem,
-    base_problem: CoolingProblem,
-    method: str,
-    include_tec_only: bool,
-    make: Callable[[CoolingProblem], Evaluator],
-    resilient: bool,
-    policy: Optional[ResiliencePolicy],
-    failures: List[FailureReport],
-    jac: str = "analytic",
-) -> BenchmarkComparison:
-    """All methods on one benchmark, each stage individually tagged."""
-    specs = _stage_specs(name, tec_problem, base_problem, method, make,
-                         resilient, policy, failures, jac=jac)
-    values: Dict[str, object] = {}
-    for stage in CAMPAIGN_STAGES:
-        if stage == "tec-only" and not include_tec_only:
-            values[stage] = None
-            continue
-        values[stage] = _staged(stage, specs[stage])
-    return BenchmarkComparison(
-        name=name,
-        oftec_opt1=values["oftec-opt1"],
-        oftec_opt2=values["oftec-opt2"],
-        variable_opt1=values["variable-opt1"],
-        variable_opt2=values["variable-opt2"],
-        fixed=values["fixed-omega"],
-        tec_only=values["tec-only"])
-
-
 def run_campaign(
     profiles: Mapping[str, BenchmarkProfile],
     tec_problem_template: CoolingProblem,
     baseline_problem_template: CoolingProblem,
     method: str = "slsqp",
     include_tec_only: bool = False,
-    isolate_failures: bool = True,
-    evaluator_factory: Optional[Callable[[CoolingProblem],
-                                         Evaluator]] = None,
     resilient: bool = False,
     policy: Optional[ResiliencePolicy] = None,
     workers: Optional[int] = None,
@@ -361,6 +328,14 @@ def run_campaign(
 ) -> CampaignResult:
     """Run the three-method comparison over a set of benchmark profiles.
 
+    Every campaign runs as campaign units of the parallel engine
+    (:func:`repro.exec.run_campaign_units`), in-process or on a pool;
+    the merged result — and its canonical JSON — is bit-identical for
+    every worker count.  A failed benchmark stage is contained as a
+    :class:`~repro.core.FailureReport` on the result and the campaign
+    carries on; template misconfigurations raise, since they would
+    fail every benchmark identically.
+
     Args:
         profiles: Benchmark name -> power profile.
         tec_problem_template: A TEC-equipped problem carrying a coverage
@@ -368,40 +343,22 @@ def run_campaign(
         baseline_problem_template: The matching no-TEC problem.
         method: Solver backend for all optimizations.
         include_tec_only: Also sweep the fan-less TEC-only system.
-        isolate_failures: Contain each benchmark/stage failure as a
-            :class:`~repro.core.FailureReport` on the campaign result
-            instead of letting it abort the run.  Template
-            misconfigurations always raise — they would fail every
-            benchmark identically.
-        evaluator_factory: Override how per-problem evaluators are
-            built (the fault-injection hook; defaults to
-            :class:`~repro.core.Evaluator`).
         resilient: Route the OFTEC stages through the
             :class:`~repro.core.ResilientSolver` fallback ladder.
         policy: Resilience policy for ``resilient=True`` (default: the
             ladder led by ``method``).
-        workers: Worker-process count for the parallel engine
-            (``repro.exec``): None defers to ``REPRO_WORKERS`` (then
-            serial), 0 forces the classic serial loop, 1 runs the
-            decomposed units in-process, N > 1 shards benchmarks
-            across N processes.  Parallel output is bit-identical to
-            serial.  Incompatible with ``evaluator_factory`` (a live
-            factory cannot cross process boundaries; chaos runs use
-            :func:`repro.faults.run_chaos_campaign`'s own parallel
-            path).  Error surfacing differs from serial in one way:
-            exception objects do not cross the process boundary, so
-            where the serial loop re-raises the original exception
-            (with its traceback), the parallel path raises
-            :class:`~repro.errors.SolverError` for library failures
-            and :class:`~repro.errors.WorkerCrashError` listing every
-            unhandled worker exception as ``"Type: message"`` text
-            (with the failing unit labels and attempt counts on
-            ``.units``).
+        workers: Worker-process count (``repro.exec``): None defers to
+            ``REPRO_WORKERS`` (then in-process), 0 or 1 runs the units
+            in-process, N >= 2 runs them on a pool of N processes.
+            Exception objects do not cross the unit boundary: an
+            unhandled (non-library) exception in a unit raises
+            :class:`~repro.errors.WorkerCrashError` listing every such
+            exception as ``"Type: message"`` text (with the failing
+            unit labels and attempt counts on ``.units``).
         supervision: A :class:`repro.exec.SupervisionPolicy` routing
-            the benchmarks through the supervised executor: worker
+            the units through the supervised executor: worker
             death/hangs become retries, poison units quarantine, and
-            the campaign completes instead of raising.  Forces the
-            decomposed path (``workers`` floors at 1).
+            the campaign completes instead of raising.
         journal_path: Write an append-only crash-consistent journal of
             completed units to this path (fresh file; see
             :mod:`repro.exec.journal`).  Implies supervision.
@@ -416,9 +373,8 @@ def run_campaign(
             campaign-wide escape hatch restoring backend finite
             differencing.
         progress: A :class:`repro.obs.ProgressBoard` (or anything with
-            its hook methods) fed the benchmark lifecycle — serial,
-            pooled, and supervised paths alike — plus live metric
-            snapshots on the supervised path.
+            its hook methods) fed the unit lifecycle, plus live metric
+            snapshots from pool workers.
         executor: None or ``"process"``, the only backend; kept so
             callers that name it explicitly still run.
         pool: A warm :class:`repro.exec.WorkerPool` to run units on
@@ -443,103 +399,14 @@ def run_campaign(
         raise ConfigurationError(
             "journal_path (fresh journal) and resume_from (continue "
             "one) are mutually exclusive")
-    supervised = supervision is not None or journal_path is not None \
-        or resume_from is not None
-    worker_count = 0
-    if evaluator_factory is None:
-        from ..exec import resolve_workers
-        worker_count = resolve_workers(workers)
-    elif workers:
-        raise ConfigurationError(
-            "workers cannot be combined with evaluator_factory (the "
-            "factory closure cannot cross a process boundary)")
-    elif supervised:
-        raise ConfigurationError(
-            "supervision/journal/resume cannot be combined with "
-            "evaluator_factory (the factory closure cannot cross a "
-            "process boundary)")
-    if supervised and worker_count < 1:
-        # Journaling and resume need the decomposed per-unit path;
-        # one in-process worker preserves serial bit-identity.
-        worker_count = 1
-    if worker_count < 1 and pool is not None:
-        worker_count = max(1, pool.workers)
-    if worker_count >= 1:
-        return _run_campaign_parallel(
-            profiles, tec_problem_template, baseline_problem_template,
-            method, include_tec_only, isolate_failures, resilient,
-            policy, worker_count, supervision, journal_path,
-            resume_from, jac=jac, progress=progress, pool=pool)
-    make = evaluator_factory or Evaluator
-    watch = stopwatch("campaign.wall_seconds")
-    if progress is not None:
-        progress.begin(len(profiles))
-    with watch, _obs.span("campaign", benchmarks=len(profiles)):
-        result = CampaignResult(
-            t_max=tec_problem_template.limits.t_max)
-        for name, profile in profiles.items():
-            tec_problem = tec_problem_template.with_profile(profile,
-                                                            name=name)
-            base_problem = baseline_problem_template.with_profile(
-                profile, name=name)
-            if progress is not None:
-                progress.unit_running(name)
-            bench_watch = stopwatch("campaign.benchmark_seconds")
-            try:
-                with _obs.span("benchmark", name), bench_watch:
-                    comparison = _run_benchmark(
-                        name, tec_problem, base_problem, method,
-                        include_tec_only, make, resilient, policy,
-                        result.failures, jac=jac)
-            except _StageFailure as failure:
-                if progress is not None:
-                    progress.unit_done(name, bench_watch.elapsed,
-                                       ok=False)
-                if not isolate_failures:
-                    raise failure.error
-                result.failures.append(failure_report_from_exception(
-                    name, failure.stage, failure.error))
-                continue
-            if progress is not None:
-                progress.unit_done(name, bench_watch.elapsed)
-            result.comparisons.append(comparison)
-    result.wall_seconds = watch.elapsed
-    return result
-
-
-def _run_campaign_parallel(
-    profiles: Mapping[str, BenchmarkProfile],
-    tec_problem_template: CoolingProblem,
-    baseline_problem_template: CoolingProblem,
-    method: str,
-    include_tec_only: bool,
-    isolate_failures: bool,
-    resilient: bool,
-    policy: Optional[ResiliencePolicy],
-    workers: int,
-    supervision: Optional[object] = None,
-    journal_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    jac: str = "analytic",
-    progress: Optional[object] = None,
-    pool: Optional[object] = None,
-) -> CampaignResult:
-    """The decomposed campaign path: stage- or benchmark-level units.
-
-    Merging happens in submission order and each unit reproduces the
-    serial per-benchmark pipeline exactly (same stages, same fresh
-    evaluators, same failure-report ordering), so the returned result
-    — and its JSON — is bit-identical to the serial loop's.
-    """
     from ..exec import (
         JournalWriter,
+        resolve_workers,
         run_campaign_units,
         unit_fingerprint,
     )
+    workers = resolve_workers(workers)
     journal = None
-    completed = None
-    supervised = supervision is not None or journal_path is not None \
-        or resume_from is not None
     if journal_path is not None or resume_from is not None:
         fingerprint = unit_fingerprint(
             tuple(profiles),
@@ -549,7 +416,6 @@ def _run_campaign_parallel(
             resume_from or journal_path,
             meta={"fingerprint": fingerprint, "job": "campaign"},
             resume=resume_from is not None)
-        completed = journal.completed
     watch = stopwatch("campaign.wall_seconds")
     try:
         with watch, _obs.span("campaign", benchmarks=len(profiles),
@@ -559,12 +425,12 @@ def _run_campaign_parallel(
                 baseline_problem_template,
                 method=method, include_tec_only=include_tec_only,
                 resilient=resilient, policy=policy, fault_plan=None,
-                workers=workers,
-                supervision=supervision if supervised else None,
-                journal=journal, completed=completed, jac=jac,
-                progress=progress, pool=pool)
+                workers=workers, supervision=supervision,
+                journal=journal,
+                completed=journal.completed if journal else None,
+                jac=jac, progress=progress, pool=pool)
             if merge.unhandled:
-                # A non-library exception in a worker is a bug, not a
+                # A non-library exception in a unit is a bug, not a
                 # result; surface every entry instead of a silent hole
                 # in the comparisons.
                 detail = "; ".join(
@@ -577,10 +443,6 @@ def _run_campaign_parallel(
                     reports=merge.unhandled,
                     units=[(name, attempts)
                            for name, attempts, _ in merge.crashed])
-            if merge.errors and not isolate_failures:
-                name, stage, error_type, message = merge.errors[0]
-                raise SolverError(
-                    f"{name} [{stage}] {error_type}: {message}")
             result = CampaignResult(
                 comparisons=merge.comparisons,
                 t_max=tec_problem_template.limits.t_max,

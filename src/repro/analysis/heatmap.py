@@ -87,12 +87,12 @@ def temperature_fields(
     chip temperatures in K, or ``None`` where the point ran away.
 
     ``workers`` fans point chunks across worker processes via
-    ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
+    ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 or 1 stays
     in-process); fields are identical across worker counts.
     """
     from ..exec import resolve_workers, solve_fields
     worker_count = resolve_workers(workers)
-    if worker_count >= 1 and len(points) > 1:
+    if worker_count >= 2 and len(points) > 1:
         return solve_fields(model, points, dynamic_cell_power,
                             leakage, worker_count)
     outcomes = solve_steady_state_batch(

@@ -100,7 +100,8 @@ def sweep_objective_surfaces(
     as the saturated "dark red" region).
 
     ``workers`` fans the grid across worker processes, one omega row
-    per chunk (None defers to ``REPRO_WORKERS``; 0 stays in-process).
+    per chunk (None defers to ``REPRO_WORKERS``; 0 or 1 stays
+    in-process).
     Surfaces are identical across worker counts.  ``progress`` (a
     :class:`repro.obs.ProgressBoard`) receives per-chunk lifecycle
     events on the fanned-out path.
@@ -136,7 +137,7 @@ def sweep_objective_surfaces(
     if evaluator._batchable():
         from ..exec import evaluate_points, resolve_workers
         worker_count = resolve_workers(workers)
-        if worker_count >= 1:
+        if worker_count >= 2:
             # One omega row per chunk: row boundaries are fixed by the
             # grid (not the worker count), and every point in a row
             # shares its fan operating point, so a chunk's solves

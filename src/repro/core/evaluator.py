@@ -391,7 +391,7 @@ class Evaluator:
         RHS columns through one factorization.
 
         ``workers`` fans point chunks across worker processes via
-        ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
+        ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 or 1 stays
         in-process).  The fan-out is *pure*: chunks are evaluated by
         fresh worker-side evaluators against the same problem, values
         are independent of chunking, and this instance's cache and
@@ -406,7 +406,7 @@ class Evaluator:
         if workers is not None or len(points) > 1:
             from ..exec import evaluate_points, resolve_workers
             worker_count = resolve_workers(workers)
-            if worker_count >= 1 and len(points) > 1:
+            if worker_count >= 2 and len(points) > 1:
                 return evaluate_points(self.problem, list(points),
                                        worker_count)
         evaluations: List[Optional[Evaluation]] = [None] * len(points)

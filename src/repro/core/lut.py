@@ -84,7 +84,7 @@ class LookupTableController:
         full per-profile OFTEC results for inspection.
 
         ``workers`` shards the rows across worker processes via
-        ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
+        ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 or 1 stays
         in-process).  Table order and stored entries are identical
         across worker counts.  ``jac`` selects the gradient mode for
         every OFTEC run (see :data:`repro.core.JAC_MODES`).
@@ -92,7 +92,7 @@ class LookupTableController:
         results: Dict[str, OFTECResult] = {}
         from ..exec import resolve_workers, run_oftec_units
         worker_count = resolve_workers(workers)
-        if worker_count >= 1 and len(profiles) > 1:
+        if worker_count >= 2 and len(profiles) > 1:
             results = run_oftec_units(problem_template, profiles,
                                       method, worker_count, jac=jac)
             for label, unit_power in profiles.items():

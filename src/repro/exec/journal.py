@@ -33,7 +33,7 @@ from ..obs.clock import monotonic
 from .units import UnitResult
 
 #: Journal format version; bumped on any incompatible record change.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: Digest size (bytes) of the blake2b record chain.
 _DIGEST_SIZE = 16

@@ -1,20 +1,24 @@
 """The work-unit scheduler: fan out, run, merge deterministically.
 
-The coordinator's half of the parallel engine.  A job is decomposed
-into :class:`~repro.exec.units.WorkUnit`\\ s, the shared inputs are
-pickled once into a :class:`~repro.exec.units.WorkerContext`, and the
-units run either serially in-process or on a
-:class:`~repro.exec.pool.WorkerPool`.  Three properties the rest of the
-library leans on:
+The coordinator's half of the engine, and the only way campaigns,
+sweeps, heat-map batches and LUT builds run at any worker count.  A
+job is decomposed into :class:`~repro.exec.units.WorkUnit`\\ s, the
+shared inputs are pickled once into a
+:class:`~repro.exec.units.WorkerContext`, and the units run either
+in-process (``workers <= 1``) or on a
+:class:`~repro.exec.pool.WorkerPool` (``workers >= 2``).  A campaign
+is one kind of unit — ``(benchmark, stages)`` — run by one executor
+and reassembled by one merge (:func:`run_campaign_units`).  Three
+properties the rest of the library leans on:
 
 * **Deterministic merge.**  Results are slotted by unit index, and
-  every unit is self-contained, so a parallel campaign's merged output
-  is bit-identical to the serial loop's, regardless of worker count,
-  scheduling order, or start method.
-* **Serial fallback.**  ``workers <= 1``, an unpicklable context, and
-  a pool that fails to start or breaks mid-run all finish the units
-  in-process through the same worker shim, so the decomposed path
-  never needs a working ``multiprocessing`` to produce results.
+  every unit is self-contained, so a campaign's merged output is
+  bit-identical across worker counts, unit grains, scheduling orders,
+  and start methods.
+* **In-process fallback.**  An unpicklable context and a pool that
+  fails to start or breaks mid-run finish the units in-process
+  through the same worker shim, so no path needs a working
+  ``multiprocessing`` to produce results.
 * **Telemetry adoption.**  When the coordinator's telemetry is
   enabled, each unit runs under its own worker-side session and ships
   its spans/metrics home on its result.  The result the coordinator
@@ -22,17 +26,18 @@ library leans on:
   tracer, so ``repro trace summarize`` sees one merged tree.
 
 Worker count resolution: an explicit argument wins, then the
-``REPRO_WORKERS`` environment variable, then 0 (= classic serial path,
-no unit decomposition).  Inside a worker — which inherits the
-coordinator's environment — resolution always yields 0, so decomposed
-entry points reached from a unit body never nest pools (see
-:func:`resolve_workers`).  The ``REPRO_START_METHOD`` environment
-variable (``fork``/``spawn``/``forkserver``) overrides the platform's
-default start method; see docs/PARALLELISM.md for the trade-offs.
+``REPRO_WORKERS`` environment variable, then 0 (in-process).  Inside a
+worker — which inherits the coordinator's environment — resolution
+always yields 0, so entry points reached from a unit body never nest
+pools (see :func:`resolve_workers`).  The ``REPRO_START_METHOD``
+environment variable (``fork``/``spawn``/``forkserver``) overrides the
+platform's default start method; see docs/PARALLELISM.md for the
+trade-offs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -70,12 +75,12 @@ WORKERS_ENV = "REPRO_WORKERS"
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Resolve a worker count: argument, then environment, then 0.
 
-    The returned count selects the execution path: ``0`` keeps the
-    classic serial code (no unit decomposition at all), ``1`` runs the
-    decomposed units serially in-process, ``N > 1`` runs them on a
-    pool of N worker processes.
+    The returned count selects the execution path: ``0`` and ``1``
+    run in-process (campaigns as units, the point/field/LUT entry
+    points without any units), ``N >= 2`` runs units on a pool of N
+    worker processes.
 
-    Inside a worker (pool process or serial run) the answer is always
+    Inside a worker (pool process or in-process run) the answer is always
     0: pool workers inherit ``REPRO_WORKERS`` from the coordinator's
     environment, and honoring it there would nest process pools (or
     re-enter the serial path) every time a unit internally calls a
@@ -134,10 +139,12 @@ def _run_serial(context: WorkerContext, units: Sequence[WorkUnit],
             if progress is not None:
                 progress.unit_running(unit.name)
             result = _workers.run_unit(unit)
+            # Accept first: the adopted telemetry must be live before
+            # unit_done pumps the caller's telemetry streams.
+            accept(result)
             if progress is not None:
                 progress.unit_done(unit.name, result.wall_seconds,
                                    ok=result.ok)
-            accept(result)
     finally:
         _workers.restore_runtime(previous)
 
@@ -202,12 +209,10 @@ def run_units(context: WorkerContext, units: Sequence[WorkUnit],
         done[result.index] = result
         adopt_unit_telemetry(result)
 
-    # Serial runs round-trip through the payload too, so they exercise
-    # the identical serialization path and leave the caller's
-    # templates untouched.
-    payload = _pickled(context)
-    if payload is not None and (workers > 1 or pool is not None) \
-            and len(units) > 1 and not _workers.in_worker():
+    fan_out = (workers > 1 or pool is not None) and len(units) > 1 \
+        and not _workers.in_worker()
+    payload = _pickled(context) if fan_out else None
+    if payload is not None:
         active = pool if pool is not None \
             else WorkerPool(min(workers, len(units)))
         try:
@@ -218,11 +223,11 @@ def run_units(context: WorkerContext, units: Sequence[WorkUnit],
         finally:
             if pool is None:
                 active.close()
+    # In-process units run on the caller's own context, so the
+    # templates' operator caches and counters warm exactly as the
+    # caller's next solve will see them.
     remaining = [unit for unit in units if unit.index not in done]
-    if remaining:
-        serial_context = context if payload is None \
-            else pickle.loads(payload)
-        _run_serial(serial_context, remaining, accept, progress)
+    _run_serial(context, remaining, accept, progress)
     return [done[unit.index] for unit in units]
 
 
@@ -248,7 +253,8 @@ def run_units_supervised(
     serially with journaling (nothing to supervise in-process), as does
     the remainder of a run whose circuit breaker opened.  Process-level
     faults never fire in-process: there is no worker to kill that is
-    not also the coordinator.
+    not also the coordinator (:func:`repro.faults.run_chaos_campaign`
+    refuses such plans below two workers).
 
     ``monitor`` (a :class:`~repro.obs.ProgressBoard`, or anything with
     its hook methods) receives the unit lifecycle — including
@@ -340,16 +346,15 @@ def worker_statistics(results: Sequence[UnitResult]) -> Dict[str, Any]:
 
 @dataclass
 class CampaignMerge:
-    """The deterministic merge of a unit-decomposed campaign.
+    """The deterministic merge of a campaign's units.
 
     Attributes:
         comparisons: Successful per-benchmark comparisons, in
             submission (= profile) order.
-        failures: Structured failure reports, in the same order the
-            serial loop would have appended them.
+        failures: Structured failure reports, in pipeline order per
+            benchmark, for every unit grain.
         errors: ``(benchmark, stage, error_type, message)`` for every
-            unit whose pipeline failed terminally — the non-isolated
-            path raises from the first of these.
+            unit whose pipeline failed terminally.
         fired: Total fault fires per kind value (chaos runs; includes
             process-level kinds under supervision).
         unhandled: Non-library exception lines from workers (the chaos
@@ -396,25 +401,26 @@ def run_campaign_units(
     progress: Optional[Any] = None,
     pool: Optional[WorkerPool] = None,
 ) -> CampaignMerge:
-    """Decompose a campaign into stage (or benchmark) units and merge.
+    """Run a campaign as ``campaign`` units and merge them.
 
-    The default decomposition is one unit per *pipeline stage* per
-    benchmark (:data:`repro.analysis.campaign.CAMPAIGN_STAGES`) —
-    roughly six times the grain of whole-benchmark units, which is
-    what lets the deque scheduler keep every worker busy when one
-    benchmark's OFTEC stage dominates the wall clock.  Benchmarks stay
-    whole units in two cases: under a ``fault_plan`` (the chaos
-    injector's RNG advances across stages, so splitting would change
-    the fault stream) and under supervision/journaling (journal
-    fingerprints and retry bookkeeping are keyed to benchmark units).
-    The problem templates travel once per worker on the context either
-    way.  ``supervision`` (a :class:`~repro.exec.SupervisionPolicy`),
-    ``journal`` (a :class:`~repro.exec.JournalWriter`), or
-    ``completed`` (journaled results keyed by unit index) route the
-    units through :func:`run_units_supervised` — worker death becomes
+    Grain rule: a unit holds one pipeline stage
+    (:data:`repro.analysis.campaign.CAMPAIGN_STAGES`) only when it runs
+    on a pool (``workers >= 2`` or an explicit ``pool``) with no
+    ``fault_plan`` and no supervision or journal — six times the grain
+    of whole benchmarks, which is what lets the scheduler keep every
+    worker busy while one benchmark's OFTEC stage dominates.  In every
+    other case a unit holds a whole benchmark: in-process there is
+    nothing to balance, a fault plan's per-benchmark injector spans
+    all stages, and journal records and retry bookkeeping are keyed to
+    benchmark units.  The problem templates travel once per worker on
+    the context either way.  ``supervision`` (a
+    :class:`~repro.exec.SupervisionPolicy`), ``journal`` (a
+    :class:`~repro.exec.JournalWriter`), or ``completed`` (journaled
+    results keyed by unit index) route the units through
+    :func:`run_units_supervised` — worker death becomes
     retries/quarantine instead of a raise, and completed units are
-    skipped.  ``pool`` is passed to :func:`run_units`.  The caller owns the surrounding ``campaign``
-    span and the :class:`CampaignResult` assembly — this function
+    skipped.  ``pool`` is passed to :func:`run_units`.  The caller owns
+    the surrounding span and the result assembly — this function
     returns the raw merge.
     """
     context = WorkerContext(
@@ -430,19 +436,18 @@ def run_campaign_units(
         telemetry=_obs.STATE.enabled)
     supervised = supervision is not None or journal is not None \
         or bool(completed)
-    staged = fault_plan is None and not supervised
-    stages = [stage for stage in CAMPAIGN_STAGES
-              if include_tec_only or stage != "tec-only"]
-    if staged:
-        units = [
-            WorkUnit(index=bench_index * len(stages) + stage_index,
-                     kind="stage", name=f"{name}/{stage}",
-                     params=(name, stage))
-            for bench_index, name in enumerate(profiles)
-            for stage_index, stage in enumerate(stages)]
-    else:
-        units = [WorkUnit(index=index, kind="benchmark", name=name)
-                 for index, name in enumerate(profiles)]
+    staged = (workers >= 2 or pool is not None) \
+        and fault_plan is None and not supervised
+    stages = tuple(stage for stage in CAMPAIGN_STAGES
+                   if include_tec_only or stage != "tec-only")
+    carried = [(stage,) for stage in stages] if staged else [stages]
+    units: List[WorkUnit] = []
+    for name in profiles:
+        for group in carried:
+            units.append(WorkUnit(
+                index=len(units), kind="campaign",
+                name=f"{name}/{group[0]}" if staged else name,
+                params=(name, group)))
     merge = CampaignMerge()
     if supervised:
         outcome = run_units_supervised(
@@ -452,8 +457,7 @@ def run_campaign_units(
         merge.quarantined = list(outcome.quarantined)
         merge.retries = outcome.retries
         merge.circuit_opened = outcome.circuit_opened
-        for kind, count in outcome.process_fired.items():
-            merge.fired[kind] = merge.fired.get(kind, 0) + count
+        merge.fired = dict(outcome.process_fired)
     else:
         results = run_units(context, units, workers,
                             progress=progress, pool=pool)
@@ -469,75 +473,51 @@ def run_campaign_units(
             "process_faults_fired": dict(
                 sorted(outcome.process_fired.items())),
         }
-    if staged:
-        _merge_stage_results(merge, results, list(profiles), stages)
-        return merge
-    for result in results:
-        merge.failures.extend(result.failures)
-        merge.unhandled.extend(result.unhandled)
-        for line in result.unhandled:
-            merge.crashed.append((result.name, 1, line))
-        for kind, count in result.fired.items():
-            merge.fired[kind] = merge.fired.get(kind, 0) + count
-        if result.error is not None:
-            stage, error_type, message = result.error
-            merge.errors.append(
-                (result.name, stage, error_type, message))
-        elif result.value is not None:
-            merge.comparisons.append(result.value)
+    _merge_campaign(merge, units, results)
     return merge
 
 
-def _merge_stage_results(merge: CampaignMerge,
-                         results: Sequence[UnitResult],
-                         benchmarks: Sequence[str],
-                         stages: Sequence[str]) -> None:
-    """Reassemble stage units into per-benchmark comparisons.
+def _merge_campaign(merge: CampaignMerge, units: Sequence[WorkUnit],
+                    results: Sequence[UnitResult]) -> None:
+    """Reassemble campaign units into per-benchmark comparisons.
 
-    Walks each benchmark's stages in serial pipeline order and *stops
-    at the first stage that errored or crashed*, dropping the results
-    of later stages outright — in the serial loop those stages never
-    ran, so admitting their failures or values would diverge from the
-    serial merge.  A benchmark whose stages all completed yields a
-    :class:`~repro.analysis.campaign.BenchmarkComparison`
-    indistinguishable from the inline pipeline's.
+    Walks each benchmark's units in pipeline order, whichever grain
+    carries its stages, and *stops at the first unit that errored,
+    crashed, or never came home* (quarantined), dropping later units
+    outright — those stages never ran in a whole-benchmark unit, so
+    admitting their failures or values would make the merge depend on
+    the grain.  A benchmark whose stages all completed yields a
+    :class:`~repro.analysis.campaign.BenchmarkComparison`.
     """
     by_index = {result.index: result for result in results}
-    for bench_index, name in enumerate(benchmarks):
+    for name, group in itertools.groupby(
+            units, key=lambda unit: unit.params[0]):
         values: Dict[str, Any] = {}
-        broken = False
-        for stage_index, stage in enumerate(stages):
-            result = by_index.get(
-                bench_index * len(stages) + stage_index)
-            if result is None:  # lost unit: treat as terminal
-                broken = True
+        for unit in group:
+            result = by_index.get(unit.index)
+            if result is None:
                 break
             merge.failures.extend(result.failures)
             for kind, count in result.fired.items():
                 merge.fired[kind] = merge.fired.get(kind, 0) + count
             if result.unhandled:
                 merge.unhandled.extend(result.unhandled)
-                for line in result.unhandled:
-                    merge.crashed.append((result.name, 1, line))
-                broken = True
+                merge.crashed.extend((result.name, 1, line)
+                                     for line in result.unhandled)
                 break
             if result.error is not None:
-                stage_name, error_type, message = result.error
-                merge.errors.append(
-                    (name, stage_name, error_type, message))
-                broken = True
+                merge.errors.append((name, *result.error))
                 break
-            values[stage] = result.value
-        if broken:
-            continue
-        merge.comparisons.append(BenchmarkComparison(
-            name=name,
-            oftec_opt1=values["oftec-opt1"],
-            oftec_opt2=values["oftec-opt2"],
-            variable_opt1=values["variable-opt1"],
-            variable_opt2=values["variable-opt2"],
-            fixed=values["fixed-omega"],
-            tec_only=values.get("tec-only")))
+            values.update(result.value)
+        else:
+            merge.comparisons.append(BenchmarkComparison(
+                name=name,
+                oftec_opt1=values["oftec-opt1"],
+                oftec_opt2=values["oftec-opt2"],
+                variable_opt1=values["variable-opt1"],
+                variable_opt2=values["variable-opt2"],
+                fixed=values["fixed-omega"],
+                tec_only=values.get("tec-only")))
 
 
 # -- point/field fan-out --------------------------------------------------

@@ -1,13 +1,13 @@
 """Work units: the picklable currency of the parallel scheduler.
 
 A :class:`WorkUnit` names one independent slice of a larger job — one
-campaign benchmark, one chunk of sweep points, one heat-map batch, one
-LUT row — small enough to pickle cheaply (the heavy problem templates
-travel once per worker inside the :class:`WorkerContext`, not per
-unit).  A :class:`UnitResult` carries everything the coordinator needs
-to merge deterministically: the payload value, structured failures,
-fault fires, per-unit telemetry exports, and worker identity/cache
-statistics.
+campaign benchmark (or one stage of it), one chunk of sweep points,
+one heat-map batch, one LUT row — small enough to pickle cheaply (the
+heavy problem templates travel once per worker inside the
+:class:`WorkerContext`, not per unit).  A :class:`UnitResult` carries
+everything the coordinator needs to merge deterministically: the
+payload value, structured failures, fault fires, per-unit telemetry
+exports, and worker identity/cache statistics.
 
 Both ends of the pipe are plain data on purpose: no live evaluators,
 no SuperLU factors, no open spans ever cross the process boundary.
@@ -22,11 +22,12 @@ from ..core import CoolingProblem, FailureReport, ResiliencePolicy
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 
-#: The unit kinds the worker shim knows how to execute.  ``stage`` is
-#: the finer campaign decomposition: one pipeline stage of one
-#: benchmark (``params = (benchmark, stage)``), lifting unit counts
-#: from 8 to ~48 so the stealing scheduler has enough grain to balance.
-UNIT_KINDS = ("benchmark", "stage", "points", "fields", "oftec")
+#: The unit kinds the worker shim knows how to execute.  A
+#: ``campaign`` unit runs some pipeline stages of one benchmark
+#: (``params = (benchmark, stages)``): all of them, or one stage when
+#: the pool needs finer grain to balance (see
+#: :func:`repro.exec.run_campaign_units`).
+UNIT_KINDS = ("campaign", "points", "fields", "oftec")
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,9 @@ class WorkUnit:
             parallel output bit-identical to serial).
         kind: One of :data:`UNIT_KINDS`.
         name: Unit label — the benchmark/profile name for
-            ``benchmark``/``oftec`` units, a chunk label otherwise.
+            whole-benchmark ``campaign`` units and ``oftec`` units,
+            ``"benchmark/stage"`` for one-stage campaign units, a chunk
+            label otherwise.
         params: Kind-specific payload (e.g. the ``(omega, I)`` tuples
             of a ``points`` or ``fields`` chunk).  Must stay picklable
             and small; bulk shared inputs belong on the context.
@@ -67,13 +70,12 @@ class UnitResult:
     Attributes:
         index: Echo of :attr:`WorkUnit.index` (the merge key).
         name: Echo of :attr:`WorkUnit.name`.
-        value: The unit's payload — a
-            :class:`~repro.analysis.campaign.BenchmarkComparison`, a
-            list of evaluations, a list of temperature fields, or an
+        value: The unit's payload — a ``{stage: result}`` dict of the
+            campaign stages it ran, a list of evaluations, a list of
+            temperature fields, or an
             :class:`~repro.core.OFTECResult` — or None when the unit
             failed.
-        failures: Structured post-mortems, in occurrence order
-            (identical to what the serial path would have appended).
+        failures: Structured post-mortems, in occurrence order.
         error: ``(stage, error_type, message)`` when a pipeline stage
             failed terminally — the picklable stand-in for the original
             exception, which may not survive the trip home.
@@ -120,7 +122,7 @@ class WorkerContext:
     the rest default to None.
     """
 
-    # -- benchmark units ----------------------------------------------
+    # -- campaign units -----------------------------------------------
     tec_template: Optional[CoolingProblem] = None
     baseline_template: Optional[CoolingProblem] = None
     profiles: Optional[Dict[str, Any]] = None
@@ -131,7 +133,7 @@ class WorkerContext:
     include_tec_only: bool = False
     resilient: bool = False
     policy: Optional[ResiliencePolicy] = None
-    #: Chaos root plan; each benchmark unit derives its own sub-plan
+    #: Chaos root plan; each campaign unit derives its own sub-plan
     #: via :meth:`~repro.faults.FaultPlan.derive`, so fault streams are
     #: independent of scheduling order and worker count.
     fault_plan: Optional[FaultPlan] = None

@@ -11,11 +11,12 @@ serves every subsequent unit, so N workers pay N cold starts, not one
 per unit.
 
 Nothing in :func:`run_unit` assumes a separate process.  The
-coordinator's serial path calls :func:`install_runtime`/:func:`run_unit`
-in-process (leaving its telemetry state alone), which is also what
-makes the shim trivially testable.
+coordinator's in-process path (``workers <= 1``) calls
+:func:`install_runtime`/:func:`run_unit` directly (leaving its
+telemetry state alone), which is also what makes the shim trivially
+testable.
 
-Failure discipline mirrors the serial campaign exactly: library errors
+Failure discipline is the same in and out of process: library errors
 (:class:`~repro.errors.ReproError`) become structured
 :class:`~repro.core.FailureReport` entries plus a picklable
 ``(stage, type, message)`` tag.  Original exception objects never cross
@@ -27,18 +28,15 @@ coordinator to judge.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import queue as queue_module
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
-from ..analysis.campaign import (
-    _run_benchmark,
-    _StageFailure,
-    run_campaign_stage,
-)
+from ..analysis.campaign import _StageFailure, run_campaign_stage
 from ..core import (
     CoolingProblem,
     Evaluator,
@@ -281,10 +279,8 @@ def run_unit(unit: WorkUnit) -> UnitResult:
 
 def _execute(context: WorkerContext, unit: WorkUnit,
              result: UnitResult) -> None:
-    if unit.kind == "benchmark":
-        _execute_benchmark(context, unit, result)
-    elif unit.kind == "stage":
-        _execute_stage(context, unit, result)
+    if unit.kind == "campaign":
+        _execute_campaign(context, unit, result)
     elif unit.kind == "points":
         _execute_points(context, unit, result)
     elif unit.kind == "fields":
@@ -307,51 +303,53 @@ def _operator_deltas(result: UnitResult, befores, afters) -> None:
         for b, a in zip(befores, afters))
 
 
-def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
-                       result: UnitResult) -> None:
-    """One campaign benchmark: all methods, both objectives.
+def _execute_campaign(context: WorkerContext, unit: WorkUnit,
+                      result: UnitResult) -> None:
+    """Some pipeline stages of one campaign benchmark, in order.
 
-    Identical staging to the serial loop in
-    :func:`repro.analysis.run_campaign` — same
-    :func:`~repro.analysis.campaign._run_benchmark` body, same span
-    nesting, same failure-report ordering — which is what the
-    bit-identity contract rests on.
+    ``unit.params`` is ``(benchmark, stages)``.  Each stage runs through
+    :func:`repro.analysis.campaign.run_campaign_stage` — the same thunk,
+    fresh evaluator and span for every grain — and the first stage that
+    fails stops the unit, so later stages never run.  The value is a
+    ``{stage: result}`` dict the coordinator's merge reassembles.
+    Under a fault plan the unit's evaluators share one injector derived
+    from the benchmark name, so the fault stream depends only on (root
+    seed, benchmark), never on which worker runs the unit or in what
+    order.
     """
-    name = unit.name
+    benchmark, stages = unit.params
     if context.tec_template is None or context.profiles is None:
         raise ConfigurationError(
-            "benchmark units need tec/baseline templates and profiles "
+            "campaign units need tec/baseline templates and profiles "
             "on the worker context")
-    profile = context.profiles[name]
-    tec_problem = context.tec_template.with_profile(profile, name=name)
+    profile = context.profiles[benchmark]
+    tec_problem = context.tec_template.with_profile(profile,
+                                                    name=benchmark)
     base_problem = context.baseline_template.with_profile(
-        profile, name=name)
+        profile, name=benchmark)
     injector: Optional[FaultInjector] = None
-    make: Callable[[CoolingProblem], Evaluator]
+    make: Callable[[CoolingProblem], Evaluator] = Evaluator
     if context.fault_plan is not None:
-        # Each unit owns a derived injector: the fault stream depends
-        # only on (root seed, benchmark name), never on which worker
-        # runs the unit or in what order.
-        injector = FaultInjector(context.fault_plan.derive(name))
-        local_injector = injector
-
-        def make(problem: CoolingProblem) -> Evaluator:
-            return FaultyEvaluator(problem, local_injector)
-    else:
-        make = Evaluator
+        injector = FaultInjector(context.fault_plan.derive(benchmark))
+        make = functools.partial(FaultyEvaluator, injector=injector)
     operators = (tec_problem.model.network.operator,
                  base_problem.model.network.operator)
     befores = tuple(op.stats for op in operators)
+    values: Dict[str, Any] = {}
     try:
-        with _obs.span("benchmark", name), \
+        # One benchmark span per unit, so every stage span keeps its
+        # benchmark ancestry after telemetry adoption.
+        with _obs.span("benchmark", benchmark), \
                 stopwatch("campaign.benchmark_seconds"):
-            result.value = _run_benchmark(
-                name, tec_problem, base_problem, context.method,
-                context.include_tec_only, make, context.resilient,
-                context.policy, result.failures, jac=context.jac)
+            for stage in stages:
+                values[stage] = run_campaign_stage(
+                    stage, benchmark, tec_problem, base_problem,
+                    context.method, make, context.resilient,
+                    context.policy, result.failures, jac=context.jac)
+        result.value = values
     except _StageFailure as failure:
         result.failures.append(failure_report_from_exception(
-            name, failure.stage, failure.error))
+            benchmark, failure.stage, failure.error))
         result.error = (failure.stage,
                         type(failure.error).__name__,
                         str(failure.error))
@@ -365,57 +363,6 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
         result.unhandled.append(f"{type(exc).__name__}: {exc}")
     if injector is not None:
         result.fired = injector.fired_counts()
-    _operator_deltas(result, befores,
-                     tuple(op.stats for op in operators))
-
-
-def _execute_stage(context: WorkerContext, unit: WorkUnit,
-                   result: UnitResult) -> None:
-    """One pipeline stage of one campaign benchmark.
-
-    The finer-grained decomposition: ``unit.params`` is
-    ``(benchmark, stage)`` and the body routes through
-    :func:`repro.analysis.campaign.run_campaign_stage` — the same
-    thunk, fresh evaluator, and span the inline pipeline uses — so the
-    stage-level merge reassembles the exact serial result.  Engaged
-    only without a fault plan: the chaos injector's RNG advances
-    across stages, so chaos benchmarks stay whole units.
-    """
-    benchmark, stage = unit.params
-    if context.tec_template is None or context.profiles is None:
-        raise ConfigurationError(
-            "stage units need tec/baseline templates and profiles on "
-            "the worker context")
-    if context.fault_plan is not None:
-        raise ConfigurationError(
-            "stage units cannot run under a fault plan (the injector "
-            "RNG is sequenced across stages); use benchmark units")
-    profile = context.profiles[benchmark]
-    tec_problem = context.tec_template.with_profile(profile,
-                                                    name=benchmark)
-    base_problem = context.baseline_template.with_profile(
-        profile, name=benchmark)
-    operators = (tec_problem.model.network.operator,
-                 base_problem.model.network.operator)
-    befores = tuple(op.stats for op in operators)
-    try:
-        # The benchmark span re-opens per stage unit so each stage span
-        # keeps its benchmark ancestry after telemetry adoption.
-        with _obs.span("benchmark", benchmark):
-            result.value = run_campaign_stage(
-                stage, benchmark, tec_problem, base_problem,
-                context.method, Evaluator, context.resilient,
-                context.policy, result.failures, jac=context.jac)
-    except _StageFailure as failure:
-        result.failures.append(failure_report_from_exception(
-            benchmark, failure.stage, failure.error))
-        result.error = (failure.stage,
-                        type(failure.error).__name__,
-                        str(failure.error))
-    except Exception as exc:  # physlint: disable=RPR201
-        # Same contract as benchmark units: anything non-library is a
-        # bug to record and merge, never an unpicklable traceback.
-        result.unhandled.append(f"{type(exc).__name__}: {exc}")
     _operator_deltas(result, befores,
                      tuple(op.stats for op in operators))
 

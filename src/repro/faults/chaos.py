@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from ..analysis.campaign import CampaignResult, run_campaign
+from ..analysis.campaign import CampaignResult
 from ..core import CoolingProblem
+from ..errors import ConfigurationError
 from ..obs import runtime as _obs
 from ..obs.clock import stopwatch
 from ..power import BenchmarkProfile
-from .inject import FaultInjector, FaultyEvaluator
 from .plan import FaultPlan, full_fault_plan
 
 
@@ -67,102 +67,56 @@ def run_chaos_campaign(
 ) -> ChaosReport:
     """Run the benchmark campaign with fault injection turned on.
 
+    The campaign runs as whole-benchmark units of the parallel engine
+    at every worker count.  Each unit wraps its evaluators around one
+    injector seeded by :meth:`~repro.faults.FaultPlan.derive` from the
+    benchmark name, so fires, failures, and completed benchmarks are
+    the same for a given plan whatever the worker count or schedule,
+    and a spec's ``max_fires`` caps fires per benchmark.  Fault events
+    land on the unit's spans (adopted under the coordinating ``unit``
+    span), and fires are summed across units into
+    :attr:`ChaosReport.fired` — including process-level fires when the
+    supervised executor is engaged.  Unhandled exceptions are
+    contained per unit, so a report can carry both a partial campaign
+    and a non-empty ``unhandled`` list.
+
     Args:
         profiles: Benchmark name -> power profile.
         tec_problem_template: TEC-equipped problem template.
         baseline_problem_template: Matching no-TEC template.
         plan: Fault plan (default: every evaluator-level kind at the
             default rate).  Process-level kinds (``worker-kill`` /
-            ``worker-hang`` / ``worker-slow``) auto-engage the
-            supervised executor on parallel runs and are inert on
-            serial ones (an unsupervised ``os._exit`` would kill the
-            coordinator itself).
+            ``worker-hang`` / ``worker-slow``) fire only on a pool:
+            they engage the supervised executor and need
+            ``workers >= 2`` (fewer raises
+            :class:`~repro.errors.ConfigurationError`).
         method: Leading solver backend.
         resilient: Route OFTEC stages through the fallback ladder
             (False stresses the campaign-level isolation alone).
         workers: Worker-process count (None defers to
-            ``REPRO_WORKERS``, 0 = serial).  Parallel chaos gives each
-            benchmark unit its own injector seeded by
-            :meth:`~repro.faults.FaultPlan.derive`, so its fault
-            sequence is deterministic for a given plan *and worker
-            count regime* but intentionally differs from the serial
-            single-stream sequence (one shared injector cannot be
-            split across processes).  Unhandled worker exceptions are
-            contained per unit, so a parallel chaos report can carry
-            both a partial campaign and a non-empty ``unhandled``
-            list.
+            ``REPRO_WORKERS``; 0 or 1 runs in-process).
         supervision: A :class:`repro.exec.SupervisionPolicy` routing
-            the parallel path through the supervised executor (worker
-            death becomes retries/quarantine).  Defaults to the stock
-            policy when the plan carries process-level kinds.
+            the units through the supervised executor (worker death
+            becomes retries/quarantine).  Defaults to the stock policy
+            when the plan carries process-level kinds.
         progress: A :class:`repro.obs.ProgressBoard` (or anything with
             its hook methods) fed the benchmark lifecycle.
     """
     plan = plan if plan is not None else full_fault_plan()
-    from ..exec import resolve_workers
-    worker_count = resolve_workers(workers)
-    if supervision is None and plan.process_kinds and \
-            worker_count >= 1:
-        from ..exec import SupervisionPolicy
-        supervision = SupervisionPolicy()
-    if worker_count >= 1:
-        return _run_chaos_parallel(
-            profiles, tec_problem_template, baseline_problem_template,
-            plan, method, resilient, worker_count, supervision,
-            progress=progress)
-    injector = FaultInjector(plan)
-    report = ChaosReport(plan=plan)
-    watch = stopwatch("chaos.wall_seconds")
-    with watch, _obs.span("chaos", seed=plan.seed):
-        try:
-            report.campaign = run_campaign(
-                profiles, tec_problem_template,
-                baseline_problem_template,
-                method=method, isolate_failures=True,
-                resilient=resilient,
-                evaluator_factory=lambda p: FaultyEvaluator(p,
-                                                            injector),
-                progress=progress)
-        except Exception as exc:  # physlint: disable=RPR201
-            # The chaos boundary is the whole point of the harness: a
-            # narrower catch would let exactly the surprising
-            # exception classes under test escape.  Anything reaching
-            # this handler is a resilience bug, recorded as such.
-            report.unhandled.append(f"{type(exc).__name__}: {exc}")
-            _obs.event("chaos.unhandled", error=type(exc).__name__)
-    report.fired = injector.fired_counts()
-    _record_fired_gauges(report)
-    report.wall_seconds = watch.elapsed
-    return report
-
-
-def _record_fired_gauges(report: ChaosReport) -> None:
-    if _obs.STATE.enabled:
-        for kind, count in report.fired.items():
-            _obs.STATE.metrics.gauge(f"chaos.fired.{kind}").set(count)
-
-
-def _run_chaos_parallel(
-    profiles: Mapping[str, BenchmarkProfile],
-    tec_problem_template: CoolingProblem,
-    baseline_problem_template: CoolingProblem,
-    plan: FaultPlan,
-    method: str,
-    resilient: bool,
-    workers: int,
-    supervision: Optional[object] = None,
-    progress: Optional[object] = None,
-) -> ChaosReport:
-    """Chaos campaign over the parallel engine.
-
-    The fault plan travels to the workers on the context; every
-    benchmark unit builds a :class:`FaultyEvaluator` around its own
-    derived injector, and fault events land on that unit's worker
-    spans (adopted under the coordinating ``unit`` span).  Fires are
-    summed across units into :attr:`ChaosReport.fired` — including
-    process-level fires when the supervised executor is engaged.
-    """
-    from ..exec import run_campaign_units
+    from ..exec import (
+        SupervisionPolicy,
+        resolve_workers,
+        run_campaign_units,
+    )
+    workers = resolve_workers(workers)
+    if plan.process_kinds:
+        if workers < 2:
+            kinds = ", ".join(kind.value for kind in plan.process_kinds)
+            raise ConfigurationError(
+                f"process-level fault kinds ({kinds}) fire only on a "
+                f"worker pool and need workers >= 2, got {workers}")
+        if supervision is None:
+            supervision = SupervisionPolicy()
     report = ChaosReport(plan=plan)
     watch = stopwatch("chaos.wall_seconds")
     with watch, _obs.span("chaos", seed=plan.seed, workers=workers):
@@ -177,15 +131,16 @@ def _run_chaos_parallel(
             _obs.event("chaos.unhandled",
                        error=text.split(":", 1)[0])
         report.fired = merge.fired
-        campaign = CampaignResult(
+        report.campaign = CampaignResult(
             comparisons=merge.comparisons,
             t_max=tec_problem_template.limits.t_max,
             failures=merge.failures,
             quarantined=list(merge.quarantined),
             worker_stats=merge.worker_stats)
-        report.campaign = campaign
     report.campaign.wall_seconds = watch.elapsed
-    _record_fired_gauges(report)
+    if _obs.STATE.enabled:
+        for kind, count in report.fired.items():
+            _obs.STATE.metrics.gauge(f"chaos.fired.{kind}").set(count)
     report.wall_seconds = watch.elapsed
     return report
 

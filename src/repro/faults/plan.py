@@ -35,8 +35,8 @@ class FaultKind(enum.Enum):
     SOLVE_TIMEOUT = "solve-timeout"
     #: Process-level: hard-kill the pool worker (``os._exit``) before
     #: it runs the unit, as an OOM killer or segfault would.  Only
-    #: fires on a *supervised* pool run (:mod:`repro.exec`); serial
-    #: and unsupervised runs ignore it.
+    #: fires on a *supervised* pool run (:mod:`repro.exec`);
+    #: unsupervised runs ignore it.
     WORKER_KILL = "worker-kill"
     #: Process-level: the worker goes silent — heartbeats stop and the
     #: unit never completes — as a deadlocked or livelocked process
@@ -60,10 +60,11 @@ EVALUATOR_FAULT_KINDS: Tuple[FaultKind, ...] = (
 )
 
 #: The process-level fault kinds injected by the worker loop on
-#: supervised runs (:mod:`repro.exec.workers`).  Inert everywhere else:
-#: a ``worker-kill`` on the serial path would take down the
-#: coordinator itself, so these kinds fire only where a supervisor is
-#: watching.
+#: supervised runs (:mod:`repro.exec.workers`).  A ``worker-kill``
+#: in-process would take down the coordinator itself, so these kinds
+#: fire only where a supervisor is watching, and
+#: :func:`~repro.faults.run_chaos_campaign` refuses them below two
+#: workers.
 PROCESS_FAULT_KINDS: Tuple[FaultKind, ...] = (
     FaultKind.WORKER_KILL,
     FaultKind.WORKER_HANG,
@@ -145,8 +146,8 @@ class FaultPlan:
     def derive(self, label: str) -> "FaultPlan":
         """A sub-plan with the same specs and a label-derived seed.
 
-        Parallel chaos gives each work-unit its own injector; deriving
-        the unit's seed from ``(seed, label)`` keeps every unit's fault
+        Chaos gives each campaign unit its own injector; deriving the
+        unit's seed from ``(seed, label)`` keeps every unit's fault
         stream independent of scheduling order and worker count — the
         same plan and label always yield the same stream, no matter
         which process runs the unit or in what order.

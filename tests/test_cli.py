@@ -166,6 +166,17 @@ class TestChaosCommand:
         assert code == 5
         assert "unknown fault kind" in capsys.readouterr().err
 
+    def test_process_faults_need_a_pool(self, capsys):
+        from repro.cli import EXIT_CONFIG_ERROR
+        for workers in ("0", "1"):
+            code = main(["chaos", "--resolution", "4", "--benchmarks",
+                         "1", "--faults", "worker-kill", "--rate", "1.0",
+                         "--workers", workers])
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG_ERROR
+            assert "workers >= 2" in captured.err
+            assert "PASSED" not in captured.out
+
     def test_json_export(self, tmp_path, capsys):
         path = tmp_path / "chaos.json"
         code = main(["chaos", "--resolution", "4", "--benchmarks", "1",

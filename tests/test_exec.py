@@ -1,6 +1,7 @@
 """The parallel execution engine: scheduler, workers, deterministic merge."""
 
 import hashlib
+import itertools
 import json
 import multiprocessing.process
 import pickle
@@ -22,7 +23,13 @@ from repro.exec import (
 )
 from repro.exec import scheduler as exec_scheduler
 from repro.exec import workers as exec_workers
-from repro.faults import full_fault_plan, run_chaos_campaign
+from repro.faults import (
+    EVALUATOR_FAULT_KINDS,
+    FaultPlan,
+    FaultSpec,
+    full_fault_plan,
+    run_chaos_campaign,
+)
 from repro.io import campaign_to_dict
 from repro.obs import telemetry_session
 from repro.obs.export import span_to_dict
@@ -91,7 +98,7 @@ class TestWorkUnit:
 
     def test_index_validated(self):
         with pytest.raises(ConfigurationError):
-            WorkUnit(index=-1, kind="benchmark", name="x")
+            WorkUnit(index=-1, kind="campaign", name="x")
 
     def test_default_chunk_positive(self):
         assert default_chunk(1, 4) == 1
@@ -162,12 +169,13 @@ class TestPointsFanOut:
         serial = sweep_objective_surfaces(
             leakage_free_problem, omega_points=4, current_points=3,
             workers=0)
-        fanned = sweep_objective_surfaces(
-            leakage_free_problem, omega_points=4, current_points=3,
-            workers=2)
-        assert (serial.temperature == fanned.temperature).all()
-        assert (serial.power == fanned.power).all()
-        assert (serial.feasible == fanned.feasible).all()
+        for workers in (1, 2):
+            fanned = sweep_objective_surfaces(
+                leakage_free_problem, omega_points=4, current_points=3,
+                workers=workers)
+            assert (serial.temperature == fanned.temperature).all()
+            assert (serial.power == fanned.power).all()
+            assert (serial.feasible == fanned.feasible).all()
 
     def test_fields_parity(self, tec_problem):
         points = [(200.0, 0.0), (200.0, 1.0), (260.0, 1.0),
@@ -175,12 +183,14 @@ class TestPointsFanOut:
         serial = temperature_fields(
             tec_problem.model, points, tec_problem.dynamic_cell_power,
             leakage=None, workers=0)
-        fanned = temperature_fields(
-            tec_problem.model, points, tec_problem.dynamic_cell_power,
-            leakage=None, workers=2)
-        assert len(serial) == len(fanned)
-        for ours, theirs in zip(fanned, serial):
-            assert (ours == theirs).all()
+        for workers in (1, 2):
+            fanned = temperature_fields(
+                tec_problem.model, points,
+                tec_problem.dynamic_cell_power, leakage=None,
+                workers=workers)
+            assert len(serial) == len(fanned)
+            for ours, theirs in zip(fanned, serial):
+                assert (ours == theirs).all()
 
 
 class TestPoolFallback:
@@ -360,6 +370,35 @@ class TestSingleAdoption:
             assert {"pid", "units", "wall_seconds", "factorizations",
                     "factor_cache_hits"} <= set(row)
 
+    def test_in_process_unit_adopted_before_unit_done(self, profiles):
+        """unit_done pumps live telemetry streams, so the unit's spans
+        must already be on the live tracer when it fires."""
+        tec = build_cooling_problem(profiles["basicmath"],
+                                    grid_resolution=4)
+        base = build_cooling_problem(profiles["basicmath"],
+                                     with_tec=False, grid_resolution=4)
+        subset = {name: profiles[name]
+                  for name in ("basicmath", "crc32")}
+        seen = []
+
+        class Recorder:
+            def begin(self, total):
+                pass
+
+            def unit_running(self, name):
+                pass
+
+            def unit_done(self, name, wall_seconds, ok=True):
+                seen.append((name, sorted(
+                    span.name for span in tracer.finished
+                    if span.kind == "benchmark")))
+
+        with telemetry_session() as (tracer, _metrics):
+            run_campaign(subset, tec, base, workers=0,
+                         progress=Recorder())
+        assert seen == [("basicmath", ["basicmath"]),
+                        ("crc32", ["basicmath", "crc32"])]
+
 
 @pytest.fixture(scope="module")
 def identity_problems(profiles):
@@ -389,14 +428,40 @@ class TestCampaignBitIdentity:
             assert row["solves"] > 0
             assert row["factorizations"] > 0
 
-    def test_in_process_executor_digest(self, profiles,
+    def test_in_process_executor_digest(self, monkeypatch, profiles,
                                         identity_problems):
+        """One-stage units finished in-process (a pool that cannot
+        start) merge to the same digest as whole-benchmark units."""
         tec, base = identity_problems
         subset = {name: profiles[name]
                   for name in ("basicmath", "crc32")}
         serial = run_campaign(subset, tec, base, workers=0)
-        staged = run_campaign(subset, tec, base, workers=1)
+
+        def failing_start(self):
+            raise OSError("no pool for you")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                            "start", failing_start)
+        staged = run_campaign(subset, tec, base, workers=2)
+        assert [row["unit"] for row in staged.worker_stats["units"]][:2] \
+            == ["basicmath/oftec-opt1", "basicmath/oftec-opt2"]
         assert canonical_digest(staged) == canonical_digest(serial)
+
+    def test_in_process_campaign_warms_caller_operators(
+            self, profiles, identity_problems):
+        """In-process units run on the caller's templates: their
+        operator counters and factor caches move."""
+        tec, base = identity_problems
+        operators = (tec.model.network.operator,
+                     base.model.network.operator)
+        before = [op.stats.solves for op in operators]
+        campaign = run_campaign({"crc32": profiles["crc32"]}, tec, base,
+                                workers=1)
+        moved = sum(op.stats.solves - b
+                    for op, b in zip(operators, before))
+        assert moved > 0
+        assert moved == sum(row["solves"] for row
+                            in campaign.worker_stats["per_worker"])
 
     def test_env_workers_campaign_digest(self, monkeypatch, profiles,
                                          identity_problems):
@@ -443,16 +508,33 @@ class TestCampaignBitIdentity:
                 run_campaign(subset, tec, base, workers=2,
                              executor=name)
 
-    def test_workers_exclusive_with_factory(self, profiles,
-                                            identity_problems):
-        tec, base = identity_problems
-        subset = {"basicmath": profiles["basicmath"]}
-        with pytest.raises(ConfigurationError):
-            run_campaign(subset, tec, base, workers=2,
-                         evaluator_factory=Evaluator)
-
 
 class TestChaosUnderParallelism:
+    def test_serial_and_parallel_chaos_agree(self, profiles):
+        """One fault stream per benchmark at every worker count."""
+        tec = build_cooling_problem(profiles["basicmath"],
+                                    grid_resolution=4)
+        base = build_cooling_problem(profiles["basicmath"],
+                                     with_tec=False, grid_resolution=4)
+        subset = {name: profiles[name]
+                  for name in ("basicmath", "bitcount", "crc32")}
+        # Capped fires leave some benchmarks completed and fail others.
+        plan = FaultPlan(seed=1, specs=tuple(
+            FaultSpec(kind=kind, rate=0.03, max_fires=2)
+            for kind in EVALUATOR_FAULT_KINDS))
+        reports = [run_chaos_campaign(subset, tec, base, plan=plan,
+                                      workers=workers)
+                   for workers in (0, 2)]
+        serial, parallel = (
+            (report.fired,
+             [(f.benchmark, f.stage, f.error_type)
+              for f in report.campaign.failures],
+             report.completed_benchmarks)
+            for report in reports)
+        assert sum(serial[0].values()) > 0
+        assert 0 < len(serial[2]) < len(subset)
+        assert serial == parallel
+
     def test_fault_events_land_on_worker_spans(self, profiles):
         tec = build_cooling_problem(profiles["basicmath"],
                                     grid_resolution=4)
@@ -537,29 +619,34 @@ class TestChunking:
 
 
 class TestStageMerge:
-    """Reassembling stage units must mirror the serial pipeline."""
+    """Reassembling one-stage units must mirror a whole-benchmark
+    unit."""
 
     @staticmethod
     def _merge(results, benchmarks):
         from repro.analysis.campaign import CAMPAIGN_STAGES
         from repro.exec import CampaignMerge
-        from repro.exec.scheduler import _merge_stage_results
-        from repro.exec.units import UnitResult
+        from repro.exec.scheduler import _merge_campaign
+        units = [
+            WorkUnit(index=index, kind="campaign",
+                     name=f"{name}/{stage}", params=(name, (stage,)))
+            for index, (name, stage) in enumerate(
+                itertools.product(benchmarks, CAMPAIGN_STAGES))]
         merge = CampaignMerge()
-        _merge_stage_results(merge, results, benchmarks,
-                             list(CAMPAIGN_STAGES))
+        _merge_campaign(merge, units, results)
         return merge
 
     def test_error_stops_later_stages(self):
         from repro.analysis.campaign import CAMPAIGN_STAGES
         from repro.exec.units import UnitResult
         results = [
-            UnitResult(index=index, name=f"bench/{stage}", value=None)
+            UnitResult(index=index, name=f"bench/{stage}",
+                       value={stage: None})
             for index, stage in enumerate(CAMPAIGN_STAGES)]
         results[1].error = ("oftec-opt2", "SolverError", "diverged")
-        # In the serial loop stages after the failure never ran, so
-        # their values — even real-looking ones — must be dropped.
-        results[3].value = object()
+        # In a whole-benchmark unit stages after the failure never ran,
+        # so their values — even real-looking ones — must be dropped.
+        results[3].value = {CAMPAIGN_STAGES[3]: object()}
         merge = self._merge(results, ["bench"])
         assert merge.comparisons == []
         assert merge.errors == [
@@ -569,7 +656,8 @@ class TestStageMerge:
         from repro.analysis.campaign import CAMPAIGN_STAGES
         from repro.exec.units import UnitResult
         results = [
-            UnitResult(index=index, name=f"bench/{stage}")
+            UnitResult(index=index, name=f"bench/{stage}",
+                       value={stage: None})
             for index, stage in enumerate(CAMPAIGN_STAGES)]
         results[2].unhandled = ["RuntimeError: boom"]
         merge = self._merge(results, ["bench"])
@@ -581,7 +669,8 @@ class TestStageMerge:
         from repro.analysis.campaign import CAMPAIGN_STAGES
         from repro.exec.units import UnitResult
         results = [
-            UnitResult(index=index, name=f"bench/{stage}", value=42)
+            UnitResult(index=index, name=f"bench/{stage}",
+                       value={stage: 42})
             for index, stage in enumerate(CAMPAIGN_STAGES)]
         del results[4]  # fixed-omega never came home
         merge = self._merge(results, ["bench"])

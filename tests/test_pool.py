@@ -127,8 +127,9 @@ class TestFailureDiscipline:
             pool._ensure_started()
             pool._slots[0].process.kill()
             pool._slots[0].process.join(5.0)
-            unit = WorkUnit(index=0, kind="benchmark",
-                            name="basicmath", params=("basicmath",))
+            unit = WorkUnit(index=0, kind="campaign",
+                            name="basicmath",
+                            params=("basicmath", ("oftec-opt1",)))
             with pytest.raises(WorkerPoolError):
                 pool.run_payload(pickle.dumps(None), [unit])
         finally:
